@@ -30,7 +30,7 @@ from .adversary import (
     wolf_cnot_attack,
 )
 from .analysis import bound_table, nicd_max_correlation, reconcile
-from .protocol import NoiseModel, iter_runs, run_multiagent, run_protocol
+from .protocol import NoiseModel, action_number_counts, bit_strings, run_batch
 from .seeding import derive_seed
 
 _SCHEMA_FILE = "report_envelope_v1.json"
@@ -65,6 +65,8 @@ def _resolve_seed(flag_value: int | None) -> int:
             ) from None
     if flag_value < 0:
         raise ValueError("master seed must be non-negative")
+    if flag_value >> 64:
+        raise ValueError(f"master seed must be below 2**64, got {flag_value}")
     return flag_value
 
 
@@ -90,44 +92,20 @@ def _cmd_run(args: argparse.Namespace) -> dict:
     )
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    histogram: dict[int, int] = {}
-    disagree = [0] * args.bits
-    agree_count = 0
-    records = []
-    if args.agents == 2:
-        for rec in iter_runs(args.bits, noise, args.trials, seed):
-            agree_count += rec.agree
-            histogram[rec.alice_action_number] = (
-                histogram.get(rec.alice_action_number, 0) + 1
-            )
-            for i, (x, y) in enumerate(zip(rec.alice_bits, rec.bob_bits)):
-                disagree[i] += x != y
-            if args.trials <= 10:
-                records.append(rec.to_dict())
-    else:
-        for trial in range(args.trials):
-            rec = run_multiagent(
-                args.agents, args.bits, noise, derive_seed(seed, trial)
-            )
-            agree_count += rec.all_agree
-            histogram[rec.action_numbers[0]] = (
-                histogram.get(rec.action_numbers[0], 0) + 1
-            )
-            for i in range(args.bits):
-                column = {b[i] for b in rec.bits}
-                disagree[i] += len(column) > 1
-            if args.trials <= 10:
-                records.append(rec.to_dict())
+    batch = run_batch(args.agents, args.bits, noise, args.trials, seed)
+    slot_agrees = (batch.bits == batch.bits[0]).all(axis=0)  # (trials, bits)
+    agree_count = int(slot_agrees.all(axis=1).sum())
+    disagree = (~slot_agrees).sum(axis=0).tolist()
     results = {
         "trials": args.trials,
         "agreement_rate": agree_count / args.trials,
         "action_number_histogram": {
-            str(number): histogram[number] for number in sorted(histogram)
+            str(number): count for number, count in action_number_counts(batch.bits[0])
         },
         "per_bit_disagreement": [d / args.trials for d in disagree],
     }
-    if records:
-        results["records"] = records
+    if args.trials <= 10:
+        results["records"] = [rec.to_dict() for rec in batch.records()]
     parameters = {
         "bits": args.bits,
         "eps": args.eps,
@@ -217,16 +195,14 @@ def _cmd_reconcile(args: argparse.Namespace) -> dict:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     noise = NoiseModel(flip_prob=args.eps)
+    # one protocol run per trial supplies the noisy string pair
+    batch = run_batch(2, args.bits, noise, args.trials, seed)
+    alice, bob = (bit_strings(agent_bits) for agent_bits in batch.bits)
     successes = 0
     total_disclosed = 0
     total_passes = 0
-    for trial in range(args.trials):
-        # one protocol run supplies the noisy string pair for this trial
-        seed_t = derive_seed(seed, trial)
-        rec = run_protocol(args.bits, noise, seed_t)
-        report, _, _ = reconcile(
-            rec.alice_bits, rec.bob_bits, args.eps, derive_seed(seed_t, 1)
-        )
+    for seed_t, alice_bits, bob_bits in zip(batch.seeds.tolist(), alice, bob):
+        report, _, _ = reconcile(alice_bits, bob_bits, args.eps, derive_seed(seed_t, 1))
         successes += report.success
         total_disclosed += report.disclosed_bits
         total_passes += report.passes

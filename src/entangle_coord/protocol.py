@@ -14,6 +14,24 @@ headquarters' strike set resolves the selected number to a label.
 
 Convention: slot/pair index 0 contributes the most significant bit of the
 action number.
+
+Draw layout.  A run with seed s reads the SplitMix64 stream of s in this
+order, and nothing else:
+
+1. holders: one draw per slot (k = 2, `getrandbits(1)` gives the qubit
+   alice holds), or per slot a Fisher-Yates shuffle of the k qubit
+   positions (k > 2, `randrange` with rejection);
+2. one token base per agent, in agent order;
+3. per agent, in agent order, and per slot, in slot order: a Born draw only
+   if neither branch is below qsim.DEGENERATE_BRANCH, then a flip draw if
+   the flip probability is positive and the agent is not alice.
+
+Draw j of the run is mix(s + (j + 1) * GAMMA) (see seeding), and trial t of
+a batch has s = derive_seed(master, t).  Both engines follow this contract:
+`run_protocol` and `run_multiagent` read the stream one run at a time and
+are the sequential reference; `run_batch`, behind `iter_runs` and the
+command line, computes every draw from its (trial seed, position) pair,
+vectorised over trials and slots.
 """
 
 from __future__ import annotations
@@ -26,8 +44,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import qsim
-from .qsim import PureState
-from .seeding import SplitMix64, derive_seed
+from .qsim import DEGENERATE_BRANCH, PureState
+from .seeding import SplitMix64, stream_draws
 
 _MASK64 = (1 << 64) - 1
 
@@ -473,6 +491,210 @@ def run_multiagent(
     )
 
 
+# ------------------------------------------------------------- batch engine
+
+
+#: The engine processes trials in chunks of at most this many amplitudes
+#: (trials x n_bits x 2**k, at least one trial), which bounds its memory.
+BATCH_AMPLITUDES = 1 << 13
+_RECORD_CHUNK = 1 << 12
+_UNIT = 1.1102230246251565e-16  # 2**-53, as SplitMix64.random
+
+
+class TrialBatch(NamedTuple):
+    """Trials 0..trials-1 of one master seed, as arrays indexed by trial."""
+
+    seeds: np.ndarray  # (trials,) uint64: derive_seed(master_seed, t)
+    token_bases: np.ndarray  # (k, trials) uint64: each agent's table base
+    bits: np.ndarray  # (k, trials, n_bits) uint8: agents in canonical order
+
+    def records(
+        self, strikes: StrikeSet | None = None
+    ) -> Iterator[RunRecord | MultiRunRecord]:
+        """One record per trial: a RunRecord for two agents, else a MultiRunRecord.
+
+        Each equals what run_protocol / run_multiagent return for the trial's
+        seed.
+        """
+        k, trials, n_bits = self.bits.shape
+        if strikes is None:
+            strikes = default_strike_set(n_bits)
+        elif strikes.n_bits != n_bits:
+            raise ValueError("strike set size does not match n_bits")
+        labels = strikes.labels
+        names = _agent_names(k)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        for start in range(0, trials, _RECORD_CHUNK):
+            part = slice(start, start + _RECORD_CHUNK)
+            strings = [bit_strings(agent_bits) for agent_bits in self.bits[:, part]]
+            seeds = self.seeds[part].tolist()
+            if k == 2:
+                actions = [
+                    _action_tokens(base, agent_bits)
+                    for base, agent_bits in zip(self.token_bases[:, part], self.bits[:, part])
+                ]
+                for t, seed in enumerate(seeds):
+                    a, b = strings[0][t], strings[1][t]
+                    number_a = int(a, 2)
+                    agree = a == b
+                    yield RunRecord(
+                        seed, a, b, actions[0][t], actions[1][t], number_a, int(b, 2),
+                        agree, labels[number_a] if agree else AMBIGUOUS,
+                    )
+            else:
+                for t, seed in enumerate(seeds):
+                    bits = tuple(column[t] for column in strings)
+                    numbers = tuple(int(b, 2) for b in bits)
+                    pairwise = tuple((i, j, bits[i] == bits[j]) for i, j in pairs)
+                    all_agree = all(flag for _, _, flag in pairwise)
+                    yield MultiRunRecord(
+                        seed, n_bits, names, bits, numbers, pairwise, all_agree,
+                        labels[numbers[0]] if all_agree else AMBIGUOUS,
+                    )
+
+
+def bit_strings(bits: np.ndarray) -> list[str]:
+    """The rows of a (trials, n_bits) 0/1 array as bit strings."""
+    n_bits = bits.shape[-1]
+    text = (bits.astype(np.uint8) + 48).tobytes().decode("ascii")
+    return [text[i : i + n_bits] for i in range(0, len(text), n_bits)]
+
+
+def action_number_counts(bits: np.ndarray) -> list[tuple[int, int]]:
+    """(action number, count) over the rows of a (trials, n_bits) 0/1 array, by number."""
+    n_bits = bits.shape[-1]
+    rows, counts = np.unique(np.packbits(bits, axis=-1), axis=0, return_counts=True)
+    pad = -n_bits % 8
+    return [(int.from_bytes(row.tobytes(), "big") >> pad, count)
+            for row, count in zip(rows, counts.tolist())]
+
+
+def _action_tokens(bases: np.ndarray, bits: np.ndarray) -> list[tuple[str, ...]]:
+    # Slot i of a table holds tokens base + 2i (bit 0) and base + 2i + 1.
+    n_bits = bits.shape[-1]
+    tokens = bases[:, None] + (2 * np.arange(n_bits, dtype=np.uint64) + bits)
+    text = tokens.astype(">u8").tobytes().hex()
+    flat = [text[i : i + 16] for i in range(0, len(text), 16)]
+    return [tuple(flat[i : i + n_bits]) for i in range(0, len(flat), n_bits)]
+
+
+def _randrange(seeds: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
+    # SplitMix64.randrange(n) on every lane; advances `counters` past the
+    # draws each lane used, rejected ones included.
+    shift = 64 - (n - 1).bit_length()
+    values = np.empty(len(seeds), np.intp)
+    pending = np.arange(len(seeds))
+    while pending.size:
+        drawn = stream_draws(seeds[pending], counters[pending]) >> shift
+        counters[pending] += 1
+        ok = drawn < n
+        values[pending[ok]] = drawn[ok]
+        pending = pending[~ok]
+    return values
+
+
+def _holders(seeds: np.ndarray, k: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    # Which qubit of each slot's register every agent holds, shape (k, lanes,
+    # n_bits), and each lane's next stream position.
+    lanes = len(seeds)
+    if k == 2:
+        held = stream_draws(seeds[:, None], np.arange(n_bits, dtype=np.uint64)) >> 63
+        held = held.astype(np.intp)
+        return np.stack([held, 1 - held]), np.full(lanes, n_bits, np.uint64)
+    perms = np.tile(np.arange(k), (n_bits, lanes, 1))
+    counters = np.zeros(lanes, np.uint64)
+    rows = np.arange(lanes)
+    for perm in perms:  # Fisher-Yates per slot, in slot order
+        for i in range(k - 1, 0, -1):
+            j = _randrange(seeds, counters, i + 1)
+            last = perm[:, i].copy()
+            perm[:, i] = perm[rows, j]
+            perm[rows, j] = last
+    return perms.transpose(2, 1, 0), counters
+
+
+def _run_chunk(seeds, k, n_bits, noise, register) -> tuple[np.ndarray, np.ndarray]:
+    # Token bases (k, lanes) and bits (k, lanes, n_bits) of one chunk of trials.
+    qubits, counters = _holders(seeds, k, n_bits)
+    bases = stream_draws(seeds, counters + np.arange(k, dtype=np.uint64)[:, None])
+    bits = np.empty((k, len(seeds), n_bits), np.uint8)
+    counters = counters + k
+    lane_seeds = seeds[:, None]
+    index = np.arange(len(register), dtype=np.int32)
+    amps = np.broadcast_to(register, (len(seeds), n_bits, len(register))).copy()
+    for agent in range(k):
+        theta = noise.misalign_alice if agent == 0 else noise.misalign_bob
+        flip = noise.flip_prob if agent else 0.0
+        mask = (1 << (k - 1 - qubits[agent])).astype(np.int32)[..., None]
+        hot = (index & mask) != 0  # basis states with the measured qubit set
+        if theta != 0.0:
+            # c*a -/+ s*partner, the scalar kernel's float operations in place
+            partner = np.take_along_axis(amps, index ^ mask, axis=-1)
+            partner *= math.sin(theta / 2.0)
+            np.negative(partner, out=partner, where=~hot)
+            amps *= math.cos(theta / 2.0)
+            amps += partner
+            del partner
+        # Left-to-right sum over the set indices, as the scalar kernel; the
+        # +0.0 terms for clear indices leave a non-negative sum unchanged.
+        terms = amps * amps
+        terms *= hot
+        p1 = np.cumsum(terms, axis=-1, out=terms)[..., -1].copy()
+        del terms
+        p0 = 1.0 - p1
+        low = p1 < DEGENERATE_BRANCH
+        born = ~(low | (p0 < DEGENERATE_BRANCH))
+        used = born.astype(np.uint64) + (1 if flip else 0)
+        positions = counters[:, None] + (np.cumsum(used, axis=1) - used)
+        uniform = (stream_draws(lane_seeds, positions) >> 11).astype(np.float64) * _UNIT
+        bit = np.where(born, ~(uniform < p0), ~low)
+        amps *= (1.0 / np.sqrt(np.where(bit, p1, p0)))[..., None]
+        amps *= hot == bit[..., None]  # collapse onto the observed branch
+        if flip:
+            uniform = (stream_draws(lane_seeds, positions + born) >> 11).astype(np.float64)
+            bit ^= uniform * _UNIT < flip
+        bits[agent] = bit
+        counters = counters + used.sum(axis=1)
+    return bases, bits
+
+
+def run_batch(
+    k_agents: int,
+    n_bits: int,
+    noise: NoiseModel,
+    trials: int,
+    master_seed: int,
+) -> TrialBatch:
+    """Trials 0..trials-1 under `master_seed`, computed from their indices.
+
+    Trial t equals run_multiagent(k_agents, n_bits, noise, derive_seed(
+    master_seed, t)) (run_protocol for two agents) bit for bit: every draw is
+    computed from the trial seed and its stream position (see the module
+    docstring), vectorised over trials and slots with real float64
+    amplitudes.
+    """
+    if k_agents < 2:
+        raise ValueError("need at least 2 agents")
+    if n_bits < 1:
+        raise ValueError("n_bits must be at least 1")
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError("master seed must lie in [0, 2**64)")
+    # Bell and GHZ states and Y rotations keep every amplitude real.
+    register = _shared_state(k_agents).amplitudes.real
+    seeds = np.empty(trials, np.uint64)
+    bases = np.empty((k_agents, trials), np.uint64)
+    bits = np.empty((k_agents, trials, n_bits), np.uint8)
+    lanes = max(1, BATCH_AMPLITUDES // (n_bits * len(register)))
+    for start in range(0, trials, lanes):
+        part = slice(start, start + lanes)
+        chunk = seeds[part]
+        chunk[:] = stream_draws(master_seed, np.arange(start, start + len(chunk), dtype=np.uint64))
+        bases[:, part], bits[:, part] = _run_chunk(chunk, k_agents, n_bits, noise, register)
+    return TrialBatch(seeds, bases, bits)
+
+
 def iter_runs(
     n_bits: int,
     noise: NoiseModel,
@@ -480,19 +702,5 @@ def iter_runs(
     master_seed: int,
     strikes: StrikeSet | None = None,
 ) -> Iterator[RunRecord]:
-    """Independent runs with per-trial seeds derived from the master seed."""
-    for trial in range(trials):
-        yield run_protocol(n_bits, noise, derive_seed(master_seed, trial), strikes)
-
-
-def iter_multiagent_runs(
-    k_agents: int,
-    n_bits: int,
-    noise: NoiseModel,
-    trials: int,
-    master_seed: int,
-    strikes: StrikeSet | None = None,
-) -> Iterator[MultiRunRecord]:
-    """Independent multi-agent runs with per-trial derived seeds."""
-    for trial in range(trials):
-        yield run_multiagent(k_agents, n_bits, noise, derive_seed(master_seed, trial), strikes)
+    """Independent runs: trial t equals run_protocol at derive_seed(master_seed, t)."""
+    yield from run_batch(2, n_bits, noise, trials, master_seed).records(strikes)

@@ -14,9 +14,14 @@ mod 2**64):
 The constants are the standard SplitMix64 ones; an independent
 implementation following the four lines above reproduces the streams
 exactly.  Reference vectors live in ``tests/data/seed_vectors.json``.
+
+Master seeds and stream seeds are 64-bit: anything outside [0, 2**64) is
+rejected rather than reduced, so no two distinct seeds alias one stream.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -28,10 +33,30 @@ def derive_seed(master: int, index: int) -> int:
     """Return the 64-bit child seed for trial `index` under `master`."""
     if master < 0 or index < 0:
         raise ValueError("master seed and trial index must be non-negative")
+    if master > _MASK64:
+        raise ValueError("master seed must be below 2**64")
     z = (master + (index + 1) * GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def stream_draws(seeds, counters) -> np.ndarray:
+    """Output number `counters` (from 0) of SplitMix64(`seeds`), elementwise.
+
+    Output j of the stream seeded with s is mix(s + (j + 1) * GAMMA), so any
+    draw is addressed by two integers and whole arrays of streams advance at
+    once; numpy's uint64 arithmetic wraps mod 2**64 like the masks above.
+    With a master seed and trial indices this is :func:`derive_seed`.  Pass
+    arrays (or one array and a scalar): seeds must already lie in [0, 2**64).
+    """
+    z = np.asarray(seeds, np.uint64) + (np.asarray(counters, np.uint64) + 1) * GAMMA
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
 
 
 class SplitMix64:
@@ -48,7 +73,9 @@ class SplitMix64:
     def __init__(self, seed: int) -> None:
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        self._state = seed & _MASK64
+        if seed > _MASK64:
+            raise ValueError("seed must be below 2**64")
+        self._state = seed
 
     def next_uint64(self) -> int:
         self._state = s = (self._state + GAMMA) & _MASK64

@@ -204,6 +204,49 @@ def test_invalid_environment_seed_is_an_argument_error(capsys, monkeypatch):
     assert "ENTANGLE_COORD_SEED" in err
 
 
+def test_seed_of_2_to_the_64_is_rejected_not_aliased(capsys, monkeypatch):
+    # 2**64 used to print the results of seed 0 under the unreduced seed
+    for command in (["run", "--bits", "8", "--trials", "5"],
+                    ["reconcile", "--bits", "16", "--trials", "2"]):
+        code, out, err = invoke([*command, "--seed", str(2**64)], capsys)
+        assert (code, out) == (2, "")
+        assert "2**64" in err
+        monkeypatch.setenv("ENTANGLE_COORD_SEED", str(2**64))
+        code, out, err = invoke(command, capsys)
+        assert (code, out) == (2, "")
+        assert "2**64" in err
+        monkeypatch.delenv("ENTANGLE_COORD_SEED")
+
+
+def test_largest_seed_is_accepted(capsys, monkeypatch):
+    code, out, err = invoke(["run", "--bits", "8", "--trials", "5", "--seed", str(2**64 - 1)],
+                            capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == 2**64 - 1
+    monkeypatch.setenv("ENTANGLE_COORD_SEED", str(2**64 - 1))
+    code, env_out, _ = invoke(["run", "--bits", "8", "--trials", "5"], capsys)
+    assert code == 0
+    assert env_out == out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--bits", "0"], "n_bits must be at least 1"),
+    (["run", "--agents", "1"], "need at least 2 agents"),
+    (["run", "--agents", "21"], "num_qubits=21 exceeds QUBIT_CAP=20"),
+    (["run", "--eps", "0.6"], "flip_prob must lie in [0, 0.5]"),
+    (["run", "--theta-b", "nan"], "misalignment angles must be finite"),
+    (["run", "--trials", "0"], "--trials must be at least 1"),
+    (["run", "--seed", "-1"], "master seed must be non-negative"),
+    (["reconcile", "--bits", "0"], "n_bits must be at least 1"),
+    (["reconcile", "--eps", "0.6"], "flip_prob must lie in [0, 0.5]"),
+    (["reconcile", "--eps", "0"], "eps_hint 0.0 outside (0, 0.5]"),
+])
+def test_invalid_protocol_inputs_keep_their_messages(argv, message, capsys):
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # -------------------------------------------------------------- exit codes
 
 
