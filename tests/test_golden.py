@@ -43,6 +43,12 @@ CASES = [
      "--format", "csv"],
     ["reconcile", "--bits", "512", "--eps", "0.05", "--trials", "5", "--seed", "9"],
     ["bound", "--grid", "0.0001:0.5:25"],
+    # the GHZ attack with the honest parties measuring first
+    ["attack", "ghz", "--bits", "4", "--trials", "25", "--seed", "12"],
+    # the wolf attack with its default ancilla bit 0
+    ["attack", "wolf", "--bits", "3", "--trials", "15", "--seed", "13"],
+    # the W attack with several slots per trial
+    ["attack", "w", "--bits", "6", "--trials", "30", "--seed", "14"],
 ]
 
 
