@@ -12,12 +12,25 @@ Qubit layout inside each trial's register:
   - Wolf's CNOT attack: alice = 0, bob = 1, wolf ancilla = 2 (appending the
     ancilla keeps the constructed triple bit-identical to prepare_ghz(3)
     when the ancilla starts in |0>).
+
+Draw layout.  Trial t of an attack with seed s reads the SplitMix64 stream of
+derive_seed(s, t), and nothing else.  Slot by slot, in slot order, a fresh
+copy of the attack's 3-qubit state is measured one qubit at a time in the
+attack's order; each measurement takes one Born draw, or none when one of its
+branches is below qsim.DEGENERATE_BRANCH.
+
+    attack                       order
+    GHZ, Eve first               (0, 1, 2)
+    GHZ, honest parties first    (1, 2, 0)
+    W, biseparable               (0, 1, 2)
+    Wolf                         (0, 1, 2), Wolf on qubit 2
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Callable
 
 from . import qsim
 from .seeding import SplitMix64, derive_seed
@@ -26,6 +39,8 @@ GHZ_ATTACK = "GHZ"
 W_ATTACK = "W"
 BISEPARABLE_ATTACK = "Biseparable"
 WOLF_CNOT_ATTACK = "WolfCNOT"
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -76,23 +91,66 @@ class AttackReport:
         return out
 
 
-def _check_args(n_bits: int, trials: int) -> None:
+def _three_holder_attack(
+    state: qsim.PureState,
+    order: tuple[int, int, int],
+    n_bits: int,
+    trials: int,
+    seed: int,
+    after_first: Callable[[qsim.PureState], None] | None = None,
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """Measure a fresh copy of `state` in `order` for every slot of every trial.
+
+    Returns the per-trial bit strings of qubits 0, 1 and 2.  Trial t reads the
+    stream of derive_seed(seed, t); `after_first` is shown each slot's state
+    right after its first measurement.
+    """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    measure = qsim.measure_qubit
+    flat = (bytearray(), bytearray(), bytearray())  # each qubit's bits, slot after slot
+    for trial in range(trials):
+        rng = SplitMix64(derive_seed(seed, trial))
+        for _ in range(n_bits):
+            current = state
+            for step, qubit in enumerate(order):
+                bit, _, current = measure(current, qubit, rng)
+                flat[qubit].append(bit)
+                if step == 0 and after_first is not None:
+                    after_first(current)
+    texts = [bits.translate(_BIT_CHARS).decode("ascii") for bits in flat]
+    rows = [tuple(text[i : i + n_bits] for i in range(0, len(text), n_bits)) for text in texts]
+    return rows[0], rows[1], rows[2]
 
 
-@lru_cache(maxsize=8)
-def _shared(kind: str) -> qsim.PureState:
-    # immutable prepared states reused across trials
-    if kind == "ghz":
-        return qsim.prepare_ghz(3)
-    if kind == "w":
-        return qsim.prepare_w()
-    if kind == "biseparable":
-        return qsim.prepare_biseparable()
-    raise AssertionError(kind)
+def _slots(*series: tuple[str, ...]) -> list[str]:
+    # The listed holders' bits of every slot, trial by trial in slot order.
+    return ["".join(bits) for bits in zip(*("".join(rows) for rows in series))]
+
+
+def _report(
+    kind: str,
+    n_bits: int,
+    attacker: tuple[str, ...],
+    alice: tuple[str, ...],
+    bob: tuple[str, ...],
+    conditional_stats: dict,
+    attacker_field: str = "eve_bits",
+) -> AttackReport:
+    trials = len(alice)
+    return AttackReport(
+        kind=kind,
+        n_bits=n_bits,
+        trials=trials,
+        alice_bits=alice,
+        bob_bits=bob,
+        eavesdrop_success_rate=sum(x == a for x, a in zip(attacker, alice)) / trials,
+        agreement_rate=sum(a == b for a, b in zip(alice, bob)) / trials,
+        conditional_stats=conditional_stats,
+        **{attacker_field: attacker},
+    )
 
 
 def eve_ghz_attack(n_bits: int, trials: int, eve_first: bool, seed: int) -> AttackReport:
@@ -103,63 +161,21 @@ def eve_ghz_attack(n_bits: int, trials: int, eve_first: bool, seed: int) -> Atta
     after the honest parties; the report also verifies that after the first
     measurement the two remaining holders share a fully separable state.
     """
-    _check_args(n_bits, trials)
-    ghz = _shared("ghz")
-    eve_rows, alice_rows, bob_rows = [], [], []
-    separable_checks = 0
-    separable_hits = 0
-    for trial in range(trials):
-        rng = SplitMix64(derive_seed(seed, trial))
-        e_chars, a_chars, b_chars = [], [], []
-        for _ in range(n_bits):
-            if eve_first:
-                out = qsim.measure_qubit(ghz, 0, rng)
-                e_bit, state = out.bit, out.post_state
-                # the remaining holders (alice on 1, bob on 2) must be left
-                # with a product state even though their bits stay correlated
-                separable_checks += 1
-                if (
-                    qsim.is_product(state, ((1,), (0, 2))).separable
-                    and qsim.is_product(state, ((2,), (0, 1))).separable
-                ):
-                    separable_hits += 1
-                out = qsim.measure_qubit(state, 1, rng)
-                a_bit, state = out.bit, out.post_state
-                b_bit = qsim.measure_qubit(state, 2, rng).bit
-            else:
-                out = qsim.measure_qubit(ghz, 1, rng)
-                a_bit, state = out.bit, out.post_state
-                separable_checks += 1
-                if (
-                    qsim.is_product(state, ((2,), (0, 1))).separable
-                    and qsim.is_product(state, ((0,), (1, 2))).separable
-                ):
-                    separable_hits += 1
-                out = qsim.measure_qubit(state, 2, rng)
-                b_bit, state = out.bit, out.post_state
-                e_bit = qsim.measure_qubit(state, 0, rng).bit
-            e_chars.append("01"[e_bit])
-            a_chars.append("01"[a_bit])
-            b_chars.append("01"[b_bit])
-        eve_rows.append("".join(e_chars))
-        alice_rows.append("".join(a_chars))
-        bob_rows.append("".join(b_chars))
-    success = sum(e == a for e, a in zip(eve_rows, alice_rows)) / trials
-    agreement = sum(a == b for a, b in zip(alice_rows, bob_rows)) / trials
-    return AttackReport(
-        kind=GHZ_ATTACK,
-        n_bits=n_bits,
-        trials=trials,
-        alice_bits=tuple(alice_rows),
-        bob_bits=tuple(bob_rows),
-        eavesdrop_success_rate=success,
-        agreement_rate=agreement,
-        conditional_stats={
-            "eve_first": bool(eve_first),
-            "remainder_separable_rate": separable_hits / separable_checks,
-        },
-        eve_bits=tuple(eve_rows),
-    )
+    order = (0, 1, 2) if eve_first else (1, 2, 0)
+    # each remaining holder must be left in a product with the other two
+    # qubits, even though the remaining bits stay correlated
+    cuts = [((q,), tuple(p for p in range(3) if p != q)) for q in order[1:]]
+    separable: list[bool] = []
+
+    def check_remainder(state: qsim.PureState) -> None:
+        separable.append(all(qsim.is_product(state, cut).separable for cut in cuts))
+
+    eve, alice, bob = _three_holder_attack(
+        qsim.prepare_ghz(3), order, n_bits, trials, seed, check_remainder)
+    return _report(GHZ_ATTACK, n_bits, eve, alice, bob, {
+        "eve_first": bool(eve_first),
+        "remainder_separable_rate": sum(separable) / len(separable),
+    })
 
 
 def eve_w_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
@@ -170,55 +186,18 @@ def eve_w_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     anti-correlated pair and always disagree), so the channel degrades into
     denial of service rather than eavesdropping.
     """
-    _check_args(n_bits, trials)
-    w_state = _shared("w")
-    eve_rows, alice_rows, bob_rows = [], [], []
-    eve_zero = 0
-    both_one_given_zero = 0
-    disagree_given_one = 0
-    slots = 0
-    for trial in range(trials):
-        rng = SplitMix64(derive_seed(seed, trial))
-        e_chars, a_chars, b_chars = [], [], []
-        for _ in range(n_bits):
-            out = qsim.measure_qubit(w_state, 0, rng)
-            e_bit, state = out.bit, out.post_state
-            out = qsim.measure_qubit(state, 1, rng)
-            a_bit, state = out.bit, out.post_state
-            b_bit = qsim.measure_qubit(state, 2, rng).bit
-            slots += 1
-            if e_bit == 0:
-                eve_zero += 1
-                both_one_given_zero += a_bit == 1 and b_bit == 1
-            else:
-                disagree_given_one += a_bit != b_bit
-            e_chars.append("01"[e_bit])
-            a_chars.append("01"[a_bit])
-            b_chars.append("01"[b_bit])
-        eve_rows.append("".join(e_chars))
-        alice_rows.append("".join(a_chars))
-        bob_rows.append("".join(b_chars))
-    success = sum(e == a for e, a in zip(eve_rows, alice_rows)) / trials
-    agreement = sum(a == b for a, b in zip(alice_rows, bob_rows)) / trials
-    return AttackReport(
-        kind=W_ATTACK,
-        n_bits=n_bits,
-        trials=trials,
-        alice_bits=tuple(alice_rows),
-        bob_bits=tuple(bob_rows),
-        eavesdrop_success_rate=success,
-        agreement_rate=agreement,
-        conditional_stats={
-            "eve_zero_rate": eve_zero / slots,
-            "both_one_given_eve_zero": (
-                both_one_given_zero / eve_zero if eve_zero else 0.0
-            ),
-            "disagree_given_eve_one": (
-                disagree_given_one / (slots - eve_zero) if slots - eve_zero else 0.0
-            ),
-        },
-        eve_bits=tuple(eve_rows),
-    )
+    eve, alice, bob = _three_holder_attack(qsim.prepare_w(), (0, 1, 2), n_bits, trials, seed)
+    slots = n_bits * trials
+    joint = Counter(_slots(eve, alice, bob))
+    eve_zero = "".join(eve).count("0")
+    eve_one = slots - eve_zero
+    return _report(W_ATTACK, n_bits, eve, alice, bob, {
+        "eve_zero_rate": eve_zero / slots,
+        "both_one_given_eve_zero": joint["011"] / eve_zero if eve_zero else 0.0,
+        "disagree_given_eve_one": (
+            (joint["101"] + joint["110"]) / eve_one if eve_one else 0.0
+        ),
+    })
 
 
 def biseparable_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
@@ -228,51 +207,16 @@ def biseparable_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     correlation with the action number — and the residual anti-correlated
     pair breaks Alice-Bob agreement outright.
     """
-    _check_args(n_bits, trials)
-    state0 = _shared("biseparable")
-    eve_rows, alice_rows, bob_rows = [], [], []
-    joint = {"00": 0, "01": 0, "10": 0, "11": 0}
-    eve_ones = 0
-    slots = 0
-    eve_flat: list[int] = []
-    alice_flat: list[int] = []
-    for trial in range(trials):
-        rng = SplitMix64(derive_seed(seed, trial))
-        e_chars, a_chars, b_chars = [], [], []
-        for _ in range(n_bits):
-            out = qsim.measure_qubit(state0, 0, rng)
-            e_bit, state = out.bit, out.post_state
-            out = qsim.measure_qubit(state, 1, rng)
-            a_bit, state = out.bit, out.post_state
-            b_bit = qsim.measure_qubit(state, 2, rng).bit
-            slots += 1
-            eve_ones += e_bit
-            joint["01"[a_bit] + "01"[b_bit]] += 1
-            eve_flat.append(e_bit)
-            alice_flat.append(a_bit)
-            e_chars.append("01"[e_bit])
-            a_chars.append("01"[a_bit])
-            b_chars.append("01"[b_bit])
-        eve_rows.append("".join(e_chars))
-        alice_rows.append("".join(a_chars))
-        bob_rows.append("".join(b_chars))
-    success = sum(e == a for e, a in zip(eve_rows, alice_rows)) / trials
-    agreement = sum(a == b for a, b in zip(alice_rows, bob_rows)) / trials
-    return AttackReport(
-        kind=BISEPARABLE_ATTACK,
-        n_bits=n_bits,
-        trials=trials,
-        alice_bits=tuple(alice_rows),
-        bob_bits=tuple(bob_rows),
-        eavesdrop_success_rate=success,
-        agreement_rate=agreement,
-        conditional_stats={
-            "eve_one_rate": eve_ones / slots,
-            "alice_bob_joint": {k: v / slots for k, v in joint.items()},
-            "correlation_eve_alice": _pearson(eve_flat, alice_flat),
-        },
-        eve_bits=tuple(eve_rows),
-    )
+    eve, alice, bob = _three_holder_attack(
+        qsim.prepare_biseparable(), (0, 1, 2), n_bits, trials, seed)
+    slots = n_bits * trials
+    joint = Counter(_slots(alice, bob))
+    eve_flat = [int(c) for c in "".join(eve)]
+    return _report(BISEPARABLE_ATTACK, n_bits, eve, alice, bob, {
+        "eve_one_rate": sum(eve_flat) / slots,
+        "alice_bob_joint": {k: joint[k] / slots for k in ("00", "01", "10", "11")},
+        "correlation_eve_alice": _pearson(eve_flat, [int(c) for c in "".join(alice)]),
+    })
 
 
 def _pearson(xs: list[int], ys: list[int]) -> float:
@@ -304,46 +248,13 @@ def wolf_cnot_attack(n_bits: int, trials: int, target_bit: int, seed: int) -> At
     triple, so Wolf's ancilla measurements read out the action number while
     Alice and Bob still agree perfectly; with |1> he reads the complement.
     """
-    _check_args(n_bits, trials)
-    triple0 = build_wolf_triple(target_bit)
-    ghz_fidelity = qsim.state_fidelity(triple0, qsim.prepare_ghz(3))
-    wolf_rows, alice_rows, bob_rows = [], [], []
-    match_alice = 0
-    complement_alice = 0
-    slots = 0
-    for trial in range(trials):
-        rng = SplitMix64(derive_seed(seed, trial))
-        w_chars, a_chars, b_chars = [], [], []
-        for _ in range(n_bits):
-            out = qsim.measure_qubit(triple0, 0, rng)
-            a_bit, state = out.bit, out.post_state
-            out = qsim.measure_qubit(state, 1, rng)
-            b_bit, state = out.bit, out.post_state
-            w_bit = qsim.measure_qubit(state, 2, rng).bit
-            slots += 1
-            match_alice += w_bit == a_bit
-            complement_alice += w_bit != a_bit
-            w_chars.append("01"[w_bit])
-            a_chars.append("01"[a_bit])
-            b_chars.append("01"[b_bit])
-        wolf_rows.append("".join(w_chars))
-        alice_rows.append("".join(a_chars))
-        bob_rows.append("".join(b_chars))
-    success = sum(w == a for w, a in zip(wolf_rows, alice_rows)) / trials
-    agreement = sum(a == b for a, b in zip(alice_rows, bob_rows)) / trials
-    return AttackReport(
-        kind=WOLF_CNOT_ATTACK,
-        n_bits=n_bits,
-        trials=trials,
-        alice_bits=tuple(alice_rows),
-        bob_bits=tuple(bob_rows),
-        eavesdrop_success_rate=success,
-        agreement_rate=agreement,
-        conditional_stats={
-            "target_bit": target_bit,
-            "ghz_fidelity": ghz_fidelity,
-            "wolf_matches_alice_rate": match_alice / slots,
-            "wolf_complements_alice_rate": complement_alice / slots,
-        },
-        wolf_bits=tuple(wolf_rows),
-    )
+    triple = build_wolf_triple(target_bit)
+    alice, bob, wolf = _three_holder_attack(triple, (0, 1, 2), n_bits, trials, seed)
+    slots = n_bits * trials
+    matches = sum(w == a for w, a in zip("".join(wolf), "".join(alice)))
+    return _report(WOLF_CNOT_ATTACK, n_bits, wolf, alice, bob, {
+        "target_bit": target_bit,
+        "ghz_fidelity": qsim.state_fidelity(triple, qsim.prepare_ghz(3)),
+        "wolf_matches_alice_rate": matches / slots,
+        "wolf_complements_alice_rate": (slots - matches) / slots,
+    }, attacker_field="wolf_bits")

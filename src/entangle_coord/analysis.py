@@ -81,6 +81,8 @@ def shannon_length_bound(eps: float) -> BoundRow:
         raise ValueError(f"eps {eps!r} outside (0, 0.5]")
     entropy = binary_entropy(eps)
     raw = 1.0 / entropy
+    if math.isinf(raw):
+        raise ValueError(f"eps {eps!r} too small: 1/H(eps) overflows a float")
     floor = math.floor(raw)
     if floor >= raw:  # integer raw bound: "strictly less than" excludes it
         floor -= 1

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -168,6 +169,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"--grid expects LO:HI:STEPS numbers, got {text!r}") from None
     if steps < 1:
         raise ValueError("--grid STEPS must be at least 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("--grid LO and HI must be finite")
     if not 0.0 < lo <= hi:
         raise ValueError("--grid requires 0 < LO <= HI")
     return [float(e) for e in np.geomspace(lo, hi, steps)]

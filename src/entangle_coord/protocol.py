@@ -249,8 +249,7 @@ class StateRegistry:
 
     def rotate(self, index: int, position: int, theta: float) -> None:
         n = self._sizes[index]
-        if not 0 <= position < n:
-            raise ValueError(f"qubit {position} out of range for {n}-qubit register")
+        qsim._check_qubit(n, position)
         if not math.isfinite(theta):
             raise ValueError("rotation angle must be finite")
         c = math.cos(theta / 2.0)
@@ -262,8 +261,7 @@ class StateRegistry:
         if slot in self._measured:
             raise ValueError(f"slot {slot} was already measured")
         n = self._sizes[index]
-        if not 0 <= position < n:
-            raise ValueError(f"qubit {position} out of range for {n}-qubit register")
+        qsim._check_qubit(n, position)
         bit, _, out = qsim._measure_amps(n, self._amps[index], position, rng)
         self._amps[index] = out
         self._measured.add(slot)
@@ -414,6 +412,51 @@ def agent_measure(
     return "".join(chars), tuple(actions)
 
 
+def _resolve_strikes(strikes: StrikeSet | None, n_bits: int) -> StrikeSet:
+    if strikes is None:
+        return default_strike_set(n_bits)
+    if strikes.n_bits != n_bits:
+        raise ValueError("strike set size does not match n_bits")
+    return strikes
+
+
+def _run_sequential(
+    k: int, n_bits: int, noise: NoiseModel, seed: int
+) -> list[tuple[str, tuple[str, ...]]]:
+    # Every agent's (bits, actions), reading the stream of `seed` one draw at
+    # a time: distribute, precommunicate, then each agent measures in turn.
+    rng = SplitMix64(seed)
+    registry, memories = _distribute(k, n_bits, rng)
+    tables = _precommunicate(k, n_bits, rng)
+    return [agent_measure(memory, table, noise, registry, rng)
+            for memory, table in zip(memories, tables)]
+
+
+def _run_record(
+    seed: int,
+    alice_bits: str,
+    bob_bits: str,
+    alice_actions: tuple[str, ...],
+    bob_actions: tuple[str, ...],
+    labels: Sequence[str],
+) -> RunRecord:
+    # The record both engines report for one two-party run.
+    number_a = int(alice_bits, 2)
+    agree = alice_bits == bob_bits
+    return RunRecord(seed, alice_bits, bob_bits, alice_actions, bob_actions, number_a,
+                     int(bob_bits, 2), agree, labels[number_a] if agree else AMBIGUOUS)
+
+
+def _multi_record(seed: int, bits: tuple[str, ...], labels: Sequence[str]) -> MultiRunRecord:
+    # The record both engines report for one run with len(bits) agents.
+    k = len(bits)
+    numbers = tuple(int(b, 2) for b in bits)
+    pairwise = tuple((i, j, bits[i] == bits[j]) for i in range(k) for j in range(i + 1, k))
+    all_agree = all(flag for _, _, flag in pairwise)
+    return MultiRunRecord(seed, len(bits[0]), _agent_names(k), bits, numbers, pairwise,
+                          all_agree, labels[numbers[0]] if all_agree else AMBIGUOUS)
+
+
 def run_protocol(
     n_bits: int,
     noise: NoiseModel,
@@ -421,29 +464,10 @@ def run_protocol(
     strikes: StrikeSet | None = None,
 ) -> RunRecord:
     """One complete two-party run; a deterministic function of its arguments."""
-    if strikes is None:
-        strikes = default_strike_set(n_bits)
-    elif strikes.n_bits != n_bits:
-        raise ValueError("strike set size does not match n_bits")
-    rng = SplitMix64(seed)
-    registry, memories = _distribute(2, n_bits, rng)
-    tables = _precommunicate(2, n_bits, rng)
-    alice_bits, alice_actions = agent_measure(memories[0], tables[0], noise, registry, rng)
-    bob_bits, bob_actions = agent_measure(memories[1], tables[1], noise, registry, rng)
-    number_a = int(alice_bits, 2)
-    number_b = int(bob_bits, 2)
-    agree = alice_bits == bob_bits
-    return RunRecord(
-        seed=seed,
-        alice_bits=alice_bits,
-        bob_bits=bob_bits,
-        alice_actions=alice_actions,
-        bob_actions=bob_actions,
-        alice_action_number=number_a,
-        bob_action_number=number_b,
-        agree=agree,
-        strike=strikes.labels[number_a] if agree else AMBIGUOUS,
-    )
+    labels = _resolve_strikes(strikes, n_bits).labels
+    (alice_bits, alice_actions), (bob_bits, bob_actions) = _run_sequential(
+        2, n_bits, noise, seed)
+    return _run_record(seed, alice_bits, bob_bits, alice_actions, bob_actions, labels)
 
 
 def run_multiagent(
@@ -460,35 +484,9 @@ def run_multiagent(
     """
     if k_agents < 2:
         raise ValueError("need at least 2 agents")
-    if strikes is None:
-        strikes = default_strike_set(n_bits)
-    elif strikes.n_bits != n_bits:
-        raise ValueError("strike set size does not match n_bits")
-    rng = SplitMix64(seed)
-    registry, memories = _distribute(k_agents, n_bits, rng)
-    tables = _precommunicate(k_agents, n_bits, rng)
-    names = _agent_names(k_agents)
-    bits: list[str] = []
-    for memory, table in zip(memories, tables):
-        agent_bits, _ = agent_measure(memory, table, noise, registry, rng)
-        bits.append(agent_bits)
-    numbers = tuple(int(b, 2) for b in bits)
-    pairwise = tuple(
-        (i, j, bits[i] == bits[j])
-        for i in range(k_agents)
-        for j in range(i + 1, k_agents)
-    )
-    all_agree = all(flag for _, _, flag in pairwise)
-    return MultiRunRecord(
-        seed=seed,
-        n_bits=n_bits,
-        agents=names,
-        bits=tuple(bits),
-        action_numbers=numbers,
-        pairwise_agree=pairwise,
-        all_agree=all_agree,
-        strike=strikes.labels[numbers[0]] if all_agree else AMBIGUOUS,
-    )
+    labels = _resolve_strikes(strikes, n_bits).labels
+    runs = _run_sequential(k_agents, n_bits, noise, seed)
+    return _multi_record(seed, tuple(agent_bits for agent_bits, _ in runs), labels)
 
 
 # ------------------------------------------------------------- batch engine
@@ -517,13 +515,7 @@ class TrialBatch(NamedTuple):
         seed.
         """
         k, trials, n_bits = self.bits.shape
-        if strikes is None:
-            strikes = default_strike_set(n_bits)
-        elif strikes.n_bits != n_bits:
-            raise ValueError("strike set size does not match n_bits")
-        labels = strikes.labels
-        names = _agent_names(k)
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        labels = _resolve_strikes(strikes, n_bits).labels
         for start in range(0, trials, _RECORD_CHUNK):
             part = slice(start, start + _RECORD_CHUNK)
             strings = [bit_strings(agent_bits) for agent_bits in self.bits[:, part]]
@@ -533,24 +525,11 @@ class TrialBatch(NamedTuple):
                     _action_tokens(base, agent_bits)
                     for base, agent_bits in zip(self.token_bases[:, part], self.bits[:, part])
                 ]
-                for t, seed in enumerate(seeds):
-                    a, b = strings[0][t], strings[1][t]
-                    number_a = int(a, 2)
-                    agree = a == b
-                    yield RunRecord(
-                        seed, a, b, actions[0][t], actions[1][t], number_a, int(b, 2),
-                        agree, labels[number_a] if agree else AMBIGUOUS,
-                    )
+                for row in zip(seeds, *strings, *actions):
+                    yield _run_record(*row, labels)
             else:
-                for t, seed in enumerate(seeds):
-                    bits = tuple(column[t] for column in strings)
-                    numbers = tuple(int(b, 2) for b in bits)
-                    pairwise = tuple((i, j, bits[i] == bits[j]) for i, j in pairs)
-                    all_agree = all(flag for _, _, flag in pairwise)
-                    yield MultiRunRecord(
-                        seed, n_bits, names, bits, numbers, pairwise, all_agree,
-                        labels[numbers[0]] if all_agree else AMBIGUOUS,
-                    )
+                for seed, *bits in zip(seeds, *strings):
+                    yield _multi_record(seed, tuple(bits), labels)
 
 
 def bit_strings(bits: np.ndarray) -> list[str]:

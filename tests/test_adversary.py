@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entangle_coord import qsim
+from entangle_coord import cli, qsim
 from entangle_coord.adversary import (
     AttackReport,
     BISEPARABLE_ATTACK,
@@ -256,3 +258,62 @@ def test_report_serialization_shape():
     d = wolf_report.to_dict()
     assert "wolf_bits" in d and "eve_bits" not in d
     json.dumps(d)
+
+
+# --------------------------------------------------------------- properties
+
+
+def _attack_argv(kind, n_bits, trials, eve_first, target_bit, seed):
+    argv = ["attack", kind, "--bits", str(n_bits), "--trials", str(trials),
+            "--seed", str(seed)]
+    if kind == "ghz" and eve_first:
+        argv.append("--eve-first")
+    if kind == "wolf":
+        argv += ["--target-bit", str(target_bit)]
+    return argv
+
+
+def _xor_bits(bits, bit):
+    return bits if bit == 0 else bits.translate(str.maketrans("01", "10"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["ghz", "w", "biseparable", "wolf"]),
+    n_bits=st.integers(1, 6),
+    trials=st.integers(1, 30),
+    eve_first=st.booleans(),
+    target_bit=st.integers(0, 1),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_attack_exact_invariants_hold_for_every_input(
+    kind, n_bits, trials, eve_first, target_bit, seed
+):
+    if kind == "ghz":
+        report = eve_ghz_attack(n_bits, trials, eve_first, seed)
+        assert report.eve_bits == report.alice_bits == report.bob_bits
+        assert report.conditional_stats["remainder_separable_rate"] == 1.0
+    elif kind == "w":
+        report = eve_w_attack(n_bits, trials, seed)
+        stats = report.conditional_stats
+        eve_zero = "".join(report.eve_bits).count("0")
+        if eve_zero:
+            assert stats["both_one_given_eve_zero"] == 1.0
+        if eve_zero < n_bits * trials:
+            assert stats["disagree_given_eve_one"] == 1.0
+        assert stats["eve_zero_rate"] == eve_zero / (n_bits * trials)
+    elif kind == "biseparable":
+        report = biseparable_attack(n_bits, trials, seed)
+        assert report.eve_bits == ("1" * n_bits,) * trials
+        assert report.agreement_rate == 0.0
+    else:
+        report = wolf_cnot_attack(n_bits, trials, target_bit, seed)
+        assert report.wolf_bits == tuple(_xor_bits(a, target_bit) for a in report.alice_bits)
+        assert report.agreement_rate == 1.0
+    assert (report.n_bits, report.trials) == (n_bits, trials)
+
+    args = cli.build_parser().parse_args(
+        _attack_argv(kind, n_bits, trials, eve_first, target_bit, seed))
+    envelope = json.loads(cli.render(args.handler(args), "json"))
+    cli.validate_envelope(envelope)
+    assert envelope["results"] == json.loads(json.dumps(report.to_dict()))

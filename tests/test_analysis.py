@@ -76,6 +76,14 @@ def test_bound_rejects_out_of_range():
             shannon_length_bound(bad)
 
 
+def test_bound_rejects_eps_whose_inverse_entropy_overflows():
+    # 1/H(eps) is +inf below about 1e-318; the bound must refuse, not crash
+    for tiny in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="overflows"):
+            shannon_length_bound(tiny)
+    assert shannon_length_bound(1e-310).max_error_free_length > 1e306
+
+
 def test_bound_consistency_on_log_grid():
     # floor definition pinned on a 10^3-point logarithmic grid:
     # max_len * H < 1 <= (max_len + 1) * H (within 1e-9)

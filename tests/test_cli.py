@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -266,6 +267,10 @@ def test_invalid_protocol_inputs_keep_their_messages(argv, message, capsys):
     ["bound", "--grid", "0.1:0.01:5"],
     ["bound", "--grid", "0.1:0.2"],
     ["bound", "--grid", "0.001:0.5:0"],
+    ["bound", "--eps", "1e-320"],
+    ["bound", "--grid", "1e-320:0.5:3"],
+    ["bound", "--grid", "0.1:inf:1"],
+    ["bound", "--grid", "inf:inf:3"],
     ["nicd", "--m", "5", "--eps", "0.1"],
     ["nicd", "--m", "2", "--eps", "0.6"],
     ["reconcile", "--eps", "0.0", "--seed", "1"],
@@ -276,6 +281,20 @@ def test_domain_errors_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--eps", "1e-320"], "eps 1e-320 too small: 1/H(eps) overflows a float"),
+    (["bound", "--grid", "1e-320:0.5:3"], "eps 1e-320 too small: 1/H(eps) overflows a float"),
+    (["bound", "--grid", "0.1:inf:1"], "--grid LO and HI must be finite"),
+    (["bound", "--grid", "inf:inf:3"], "--grid LO and HI must be finite"),
+])
+def test_bound_extreme_inputs_print_only_the_error(argv, message, capsys):
+    # a numpy RuntimeWarning on the way would turn into exit code 1 here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
