@@ -77,8 +77,8 @@ def test_bound_rejects_out_of_range():
 
 
 def test_bound_rejects_eps_whose_inverse_entropy_overflows():
-    # 1/H(eps) is +inf below about 1e-318; the bound must refuse, not crash
-    for tiny in (1e-320, 5e-324):
+    # 1/H(eps) is +inf below about 5.5e-312; the bound must refuse, not crash
+    for tiny in (5e-312, 1e-320, 5e-324):
         with pytest.raises(ValueError, match="overflows"):
             shannon_length_bound(tiny)
     assert shannon_length_bound(1e-310).max_error_free_length > 1e306
