@@ -149,12 +149,9 @@ def _cmd_attack(args: argparse.Namespace) -> dict:
 
 def _parse_eps_list(text: str) -> list[float]:
     try:
-        values = [float(piece) for piece in text.split(",") if piece]
+        return [float(piece) for piece in text.split(",")]
     except ValueError:
         raise ValueError(f"--eps expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ValueError("--eps list is empty")
-    return values
 
 
 def _parse_grid(text: str) -> list[float]:

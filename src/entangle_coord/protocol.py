@@ -44,7 +44,10 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import qsim
-from .qsim import DEGENERATE_BRANCH, PureState
+# perfbench/tracing.py counts protocol's measurements at StateRegistry.measure
+# and patches qsim.measure_qubit to count the attacks'; binding the operators
+# by name keeps it from counting protocol's twice.
+from .qsim import DEGENERATE_BRANCH, PureState, apply_y_rotation, measure_qubit
 from .seeding import SplitMix64, stream_draws
 
 _MASK64 = (1 << 64) - 1
@@ -225,47 +228,30 @@ class MultiRunRecord(NamedTuple):
 
 
 class StateRegistry:
-    """Live shared states plus bookkeeping of which qubit slots are spent.
-
-    Amplitudes are kept as plain lists between operations and driven through
-    the same list kernels the simulator's own operators use, so a Monte Carlo
-    run does not pay an ndarray round trip per measurement.  `state()`
-    materializes a PureState view on demand.
-    """
+    """Live shared states plus bookkeeping of which qubit slots are spent."""
 
     def __init__(self, states: Sequence[PureState]) -> None:
-        self._sizes = [st.num_qubits for st in states]
-        self._amps = [st.amplitudes.tolist() for st in states]
+        self._states = list(states)
+        self._sizes = [st.num_qubits for st in self._states]  # read by perfbench/tracing.py
         self._measured: set[tuple[int, int]] = set()
 
     def __len__(self) -> int:
-        return len(self._amps)
+        return len(self._states)
 
     def state(self, index: int) -> PureState:
-        return PureState._trusted(
-            self._sizes[index],
-            np.array(self._amps[index], dtype=np.complex128),
-        )
+        return self._states[index]
 
     def rotate(self, index: int, position: int, theta: float) -> None:
-        n = self._sizes[index]
-        qsim._check_qubit(n, position)
-        if not math.isfinite(theta):
-            raise ValueError("rotation angle must be finite")
-        c = math.cos(theta / 2.0)
-        s = math.sin(theta / 2.0)
-        self._amps[index] = qsim._rotate_amps(n, self._amps[index], position, c, s)
+        self._states[index] = apply_y_rotation(self._states[index], position, theta)
 
     def measure(self, index: int, position: int, rng) -> int:
         slot = (index, position)
         if slot in self._measured:
             raise ValueError(f"slot {slot} was already measured")
-        n = self._sizes[index]
-        qsim._check_qubit(n, position)
-        bit, _, out = qsim._measure_amps(n, self._amps[index], position, rng)
-        self._amps[index] = out
+        outcome = measure_qubit(self._states[index], position, rng)
+        self._states[index] = outcome.post_state
         self._measured.add(slot)
-        return bit
+        return outcome.bit
 
 
 # ------------------------------------------------------------------ utilities
@@ -306,21 +292,6 @@ def strike_of(number: int, strikes: StrikeSet) -> str:
     if not 0 <= number < (1 << strikes.n_bits):
         raise ValueError(f"action number {number} out of range")
     return strikes.labels[number]
-
-
-def candidate_strikes(table: ActionTable, bits: str, strikes: StrikeSet) -> set[str]:
-    """Strike labels still possible given one captured table and the bits.
-
-    Tokens are opaque: a table resolves bits to this agent's actions but holds
-    no linkage from action numbers to strike identities, so every label in the
-    universe remains consistent.  (With n_bits >= 1 that is always >= 2
-    candidates: the chain cutout works.)
-    """
-    if len(bits) != table.n_bits:
-        raise ValueError("bit string length does not match the table")
-    if strikes.n_bits > 20:
-        raise ValueError("candidate enumeration is only supported for small strike sets")
-    return set(strikes.labels)
 
 
 def _fresh_tokens(rng, count: int) -> list[str]:

@@ -5,10 +5,14 @@ three qubits basis index 3 is |011> (qubit 0 = 0, qubit 1 = 1, qubit 2 = 1).
 All measurement is projective in the shared computational basis; collapse
 renormalizes the surviving branch by the square root of its probability.
 
-States are kept as explicit complex128 vectors of length 2**num_qubits.  The
-registers in this package stay tiny (pairs and triples), so each shared
-resource is simulated as its own independent PureState and total cost stays
-linear in the number of resources rather than exponential.
+States are kept as explicit complex128 vectors of length 2**num_qubits.
+Rotation and measurement have one loop kernel each for every register size:
+they walk the basis indices in Python, and the Born probability p1 of a qubit
+is summed over the indices where it is set in ascending basis-index order,
+the order `protocol.run_batch` sums in too.  Each of them therefore costs
+O(2**n) Python steps; each shared resource is its own PureState, and wide
+command-line runs go through the vectorised `protocol.run_batch` instead of
+these operators.
 """
 
 from __future__ import annotations
@@ -93,7 +97,8 @@ def _check_qubit(num_qubits: int, qubit: int) -> None:
 
 @lru_cache(maxsize=None)
 def _index_split(num_qubits: int, qubit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Basis indices with `qubit` clear / set, as tuples for scalar loops.
+    # Basis indices with `qubit` clear / set, each ascending, so that the
+    # k-th entries of the two tuples differ only in `qubit`.
     shift = num_qubits - 1 - qubit
     zeros, ones = [], []
     for i in range(1 << num_qubits):
@@ -101,59 +106,13 @@ def _index_split(num_qubits: int, qubit: int) -> tuple[tuple[int, ...], tuple[in
     return tuple(zeros), tuple(ones)
 
 
-@lru_cache(maxsize=None)
-def _index_split_np(num_qubits: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    shift = num_qubits - 1 - qubit
-    idx = np.arange(1 << num_qubits)
-    hot = (idx >> shift) & 1
-    return np.nonzero(hot == 0)[0], np.nonzero(hot == 1)[0]
-
-
-@lru_cache(maxsize=None)
-def _pair_indices(num_qubits: int, qubit: int) -> tuple[tuple[int, int], ...]:
-    # (i0, i1) basis-index pairs differing only in `qubit`.
-    mask = 1 << (num_qubits - 1 - qubit)
-    return tuple((i, i | mask) for i in range(1 << num_qubits) if not i & mask)
-
-
-# The two list kernels below are the single source of truth for small-register
-# rotation and measurement math.  The public operators call them on scalar
-# paths, and protocol.StateRegistry drives them directly on plain lists to
-# avoid an ndarray round trip per measurement in Monte Carlo loops.
-
-
-def _rotate_amps(num_qubits: int, amps: list, qubit: int, c: float, s: float) -> list:
-    # Apply [[c, -s], [s, c]] on `qubit`; returns a new amplitude list.
-    out = [0j] * len(amps)
-    for i0, i1 in _pair_indices(num_qubits, qubit):
-        a0 = amps[i0]
-        a1 = amps[i1]
-        out[i0] = c * a0 - s * a1
-        out[i1] = s * a0 + c * a1
-    return out
-
-
-def _measure_amps(num_qubits: int, amps: list, qubit: int, rng) -> tuple[int, float, list]:
-    # Born-rule sample and collapse on a plain list; returns (bit, prob, new list).
-    zeros, ones = _index_split(num_qubits, qubit)
-    p1 = 0.0
-    for i in ones:
+def _branch_weight(amps: list, indices: tuple[int, ...]) -> float:
+    # Sum of |amp|^2 over `indices`, accumulated in their (ascending) order.
+    weight = 0.0
+    for i in indices:
         a = amps[i]
-        p1 += a.real * a.real + a.imag * a.imag
-    p0 = 1.0 - p1
-    if p1 < DEGENERATE_BRANCH:
-        bit = 0
-    elif p0 < DEGENERATE_BRANCH:
-        bit = 1
-    else:
-        bit = 0 if rng.random() < p0 else 1
-    prob = p1 if bit else p0
-    keep = ones if bit else zeros
-    scale = 1.0 / math.sqrt(prob)
-    out = [0j] * len(amps)
-    for i in keep:
-        out[i] = amps[i] * scale
-    return bit, prob, out
+        weight += a.real * a.real + a.imag * a.imag
+    return weight
 
 
 @lru_cache(maxsize=None)
@@ -226,25 +185,23 @@ def apply_y_rotation(state: PureState, qubit: int, theta: float) -> PureState:
         raise ValueError("rotation angle must be finite")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    amps = state.amplitudes
-    if n <= 3:
-        out = _rotate_amps(n, amps.tolist(), qubit, c, s)
-        return PureState._trusted(n, np.array(out, dtype=np.complex128))
-    mat = np.array([[c, -s], [s, c]])
-    tens = np.moveaxis(amps.reshape((2,) * n), qubit, 0).reshape(2, -1)
-    rotated = mat @ tens
-    out = np.moveaxis(rotated.reshape((2,) * n), 0, qubit).reshape(-1)
-    return PureState._trusted(n, np.ascontiguousarray(out))
+    amps = state.amplitudes.tolist()
+    out = [0j] * len(amps)
+    for i0, i1 in zip(*_index_split(n, qubit)):
+        a0 = amps[i0]
+        a1 = amps[i1]
+        out[i0] = c * a0 - s * a1
+        out[i1] = s * a0 + c * a1
+    return PureState._trusted(n, np.array(out, dtype=np.complex128))
 
 
 def measurement_probabilities(state: PureState, qubit: int) -> tuple[float, float]:
     """Born probabilities (p0, p1) for one qubit in the shared basis."""
     n = state.num_qubits
     _check_qubit(n, qubit)
-    amps = state.amplitudes
-    probs = amps.real * amps.real + amps.imag * amps.imag
-    zeros, ones = _index_split_np(n, qubit)
-    return float(probs[zeros].sum()), float(probs[ones].sum())
+    amps = state.amplitudes.tolist()
+    zeros, ones = _index_split(n, qubit)
+    return _branch_weight(amps, zeros), _branch_weight(amps, ones)
 
 
 def measure_qubit(state: PureState, qubit: int, rng) -> Outcome:
@@ -257,14 +214,9 @@ def measure_qubit(state: PureState, qubit: int, rng) -> Outcome:
     """
     n = state.num_qubits
     _check_qubit(n, qubit)
-    amps = state.amplitudes
-    if n <= 3:
-        bit, prob, out = _measure_amps(n, amps.tolist(), qubit, rng)
-        return Outcome(bit, prob, PureState._trusted(n, np.array(out, dtype=np.complex128)))
-
-    probs = amps.real * amps.real + amps.imag * amps.imag
-    zeros, ones = _index_split_np(n, qubit)
-    p1 = float(probs[ones].sum())
+    amps = state.amplitudes.tolist()
+    zeros, ones = _index_split(n, qubit)
+    p1 = _branch_weight(amps, ones)
     p0 = 1.0 - p1
     if p1 < DEGENERATE_BRANCH:
         bit = 0
@@ -273,10 +225,11 @@ def measure_qubit(state: PureState, qubit: int, rng) -> Outcome:
     else:
         bit = 0 if rng.random() < p0 else 1
     prob = p1 if bit else p0
-    out = amps.copy()
-    out[zeros if bit else ones] = 0.0
-    out *= 1.0 / math.sqrt(prob)
-    return Outcome(bit, prob, PureState._trusted(n, out))
+    scale = 1.0 / math.sqrt(prob)
+    out = [0j] * len(amps)
+    for i in ones if bit else zeros:
+        out[i] = amps[i] * scale
+    return Outcome(bit, prob, PureState._trusted(n, np.array(out, dtype=np.complex128)))
 
 
 def is_product(state: PureState, cut: tuple[Iterable[int], Iterable[int]]) -> ProductCheck:

@@ -263,6 +263,9 @@ def test_invalid_protocol_inputs_keep_their_messages(argv, message, capsys):
     ["bound", "--eps", "0.7"],
     ["bound", "--eps", "0.0"],
     ["bound", "--eps", "abc"],
+    ["bound", "--eps", "0.1,,0.2"],
+    ["bound", "--eps", "0.1,"],
+    ["bound", "--eps", ",0.1"],
     ["bound", "--grid", "0:0.1:5"],
     ["bound", "--grid", "0.1:0.01:5"],
     ["bound", "--grid", "0.1:0.2"],

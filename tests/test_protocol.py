@@ -19,7 +19,6 @@ from entangle_coord.protocol import (
     StateRegistry,
     StrikeSet,
     action_number,
-    candidate_strikes,
     default_strike_set,
     distribute_pairs,
     iter_runs,
@@ -213,8 +212,8 @@ def test_registry_validates_position():
 
 
 def test_registry_math_matches_public_operators():
-    # The registry's list kernels and the public operators must walk the same
-    # trajectory when fed identical uniform streams.
+    # The registry must walk the public operators' trajectory when fed
+    # identical uniform streams.
     registry = StateRegistry([qsim.prepare_ghz(3)])
     state = qsim.prepare_ghz(3)
     rng_a = SplitMix64(99)
@@ -270,23 +269,6 @@ def test_tokens_are_opaque_and_fresh():
     assert a1.entries != a2.entries
     for tok in flat_a + flat_b:
         assert "strike" not in tok
-
-
-def test_single_table_leaves_all_strikes_possible():
-    strikes = default_strike_set(2)
-    a_tab, _ = precommunicate(strikes, SplitMix64(21))
-    for number in range(4):
-        bits = format(number, "02b")
-        candidates = candidate_strikes(a_tab, bits, strikes)
-        assert len(candidates) >= 2
-        assert candidates == set(strikes.labels)
-
-
-def test_candidate_strikes_validates_length():
-    strikes = default_strike_set(2)
-    a_tab, _ = precommunicate(strikes, SplitMix64(2))
-    with pytest.raises(ValueError):
-        candidate_strikes(a_tab, "011", strikes)
 
 
 def test_both_tables_jointly_identify_the_strike():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entangle_coord import qsim
 from entangle_coord.qsim import (
+    NORM_TOL,
     Outcome,
     PureState,
     apply_cnot,
@@ -20,6 +23,7 @@ from entangle_coord.qsim import (
     state_fidelity,
     tensor_product,
 )
+from entangle_coord.seeding import SplitMix64
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -166,8 +170,6 @@ def test_y_rotation_inverse():
 
 
 def test_scalar_and_vector_rotation_paths_agree():
-    # n <= 3 takes the scalar loop, larger registers the tensor path; check
-    # both against each other by embedding a 2-qubit rotation in 4 qubits
     rng = np.random.default_rng(3)
     small = random_state(3, rng)
     big = tensor_product(small, basis_state(1, 0))
@@ -245,6 +247,46 @@ def test_collapse_renormalizes():
         out = measure_qubit(s, int(rng.integers(0, n)), rng)
         norm_sq = float(np.sum(np.abs(out.post_state.amplitudes) ** 2))
         assert abs(norm_sq - 1.0) < 1e-10
+
+
+def _norm_sq(state):
+    amps = state.amplitudes
+    return float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
+
+
+@st.composite
+def _random_states(draw):
+    n = draw(st.integers(1, 6))
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    re = np.array(draw(st.lists(parts, min_size=1 << n, max_size=1 << n)))
+    im = np.array(draw(st.lists(parts, min_size=1 << n, max_size=1 << n)))
+    v = re + 1j * im
+    norm = np.linalg.norm(v)
+    assume(norm > 1e-3)
+    return PureState(n, v / norm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    state=_random_states(),
+    qubit_pick=st.integers(0, 5),
+    theta=st.floats(-2 * math.pi, 2 * math.pi),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_operators_keep_norm_and_report_the_sampled_p1(state, qubit_pick, theta, seed):
+    n = state.num_qubits
+    q = qubit_pick % n
+    rotated = apply_y_rotation(state, q, theta)
+    assert abs(_norm_sq(rotated) - 1.0) < NORM_TOL
+    # an idle qubit appended after the rotation changes nothing
+    assert np.array_equal(
+        tensor_product(rotated, basis_state(1, 0)).amplitudes,
+        apply_y_rotation(tensor_product(state, basis_state(1, 0)), q, theta).amplitudes,
+    )
+    _, p1 = measurement_probabilities(rotated, q)
+    out = measure_qubit(rotated, q, SplitMix64(seed))
+    assert out.probability == (p1 if out.bit else 1.0 - p1)
+    assert abs(_norm_sq(out.post_state) - 1.0) < NORM_TOL
 
 
 @pytest.mark.parametrize(
