@@ -17,30 +17,44 @@ Draw layout.  Trial t of an attack with seed s reads the SplitMix64 stream of
 derive_seed(s, t), and nothing else.  Slot by slot, in slot order, a fresh
 copy of the attack's 3-qubit state is measured one qubit at a time in the
 attack's order; each measurement takes one Born draw, or none when one of its
-branches is below qsim.DEGENERATE_BRANCH.
+branches is below qsim.DEGENERATE_BRANCH.  So a measurement's draw sits at
+the stream position that counts the non-degenerate measurements before it in
+the same trial, earlier slots included.
 
     attack                       order
     GHZ, Eve first               (0, 1, 2)
     GHZ, honest parties first    (1, 2, 0)
     W, biseparable               (0, 1, 2)
     Wolf                         (0, 1, 2), Wolf on qubit 2
+
+Every slot walks one path through the same outcome tree (at most 1 + 2 + 4
+states), so each call builds that tree once with qsim's public operators and
+then computes every draw from its (trial seed, stream position) pair,
+vectorised over trials.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
+
+import numpy as np
 
 from . import qsim
-from .seeding import SplitMix64, derive_seed
+from .protocol import bit_strings
+from .seeding import stream_draws
 
 GHZ_ATTACK = "GHZ"
 W_ATTACK = "W"
 BISEPARABLE_ATTACK = "Biseparable"
 WOLF_CNOT_ATTACK = "WolfCNOT"
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+#: The attacks process trials in chunks of at most this many, which bounds
+#: their working memory.
+ATTACK_CHUNK = 1 << 12
+_MASK64 = (1 << 64) - 1
+_UNIT = 1.1102230246251565e-16  # 2**-53, as SplitMix64.random
 
 
 @dataclass(frozen=True)
@@ -91,38 +105,101 @@ class AttackReport:
         return out
 
 
+class _Steer:
+    """Stand-in rng whose every uniform is `value`, to pick a branch."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+# A sampled node has p0 in [1e-12, 1 - 1e-12]: u = 0.0 lies below it and the
+# largest uniform SplitMix64.random returns does not, so these steer
+# measure_qubit onto bit 0 and bit 1.
+_STEER = (_Steer(0.0), _Steer(1.0 - _UNIT))
+
+
+class _Level(NamedTuple):
+    """One measurement step of an outcome tree; node i is the path's bits so far."""
+
+    states: list  # (2**step,) PureState, or None where no path leads
+    p0: np.ndarray  # (2**step,) float64: 1 - p1, the threshold u < p0 picks bit 0 by
+    born: np.ndarray  # (2**step,) bool: neither branch below DEGENERATE_BRANCH
+    forced: np.ndarray  # (2**step,) bool: the bit of a node that is not born
+
+
+def _outcome_tree(state: qsim.PureState, order: tuple[int, int, int]) -> list[_Level]:
+    # Every state a slot can pass through, built with the public operators;
+    # the post-states of the last measurement are never read, so not built.
+    levels = []
+    states = [state]
+    for step, qubit in enumerate(order):
+        p0 = np.zeros(len(states))
+        born = np.zeros(len(states), bool)
+        forced = np.zeros(len(states), bool)
+        children = [None] * (2 * len(states))
+        for node, current in enumerate(states):
+            if current is None:
+                continue
+            p1 = qsim.measurement_probabilities(current, qubit)[1]
+            p0[node] = 1.0 - p1
+            born[node] = not (p1 < qsim.DEGENERATE_BRANCH or p0[node] < qsim.DEGENERATE_BRANCH)
+            forced[node] = p1 >= qsim.DEGENERATE_BRANCH
+            if step < len(order) - 1:
+                for bit in (0, 1) if born[node] else (int(forced[node]),):
+                    outcome = qsim.measure_qubit(current, qubit, _STEER[bit])
+                    children[2 * node + bit] = outcome.post_state
+        levels.append(_Level(states, p0, born, forced))
+        states = children
+    return levels
+
+
 def _three_holder_attack(
     state: qsim.PureState,
     order: tuple[int, int, int],
     n_bits: int,
     trials: int,
     seed: int,
-    after_first: Callable[[qsim.PureState], None] | None = None,
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+) -> tuple[tuple[tuple[str, ...], ...], dict[int, tuple[qsim.PureState, int]]]:
     """Measure a fresh copy of `state` in `order` for every slot of every trial.
 
-    Returns the per-trial bit strings of qubits 0, 1 and 2.  Trial t reads the
-    stream of derive_seed(seed, t); `after_first` is shown each slot's state
-    right after its first measurement.
+    Returns the per-trial bit strings of qubits 0, 1 and 2, and, for each
+    possible outcome of the first measurement, the state it leaves and how
+    many slots saw it.  Trial t reads the stream of derive_seed(seed, t).
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    measure = qsim.measure_qubit
-    flat = (bytearray(), bytearray(), bytearray())  # each qubit's bits, slot after slot
-    for trial in range(trials):
-        rng = SplitMix64(derive_seed(seed, trial))
-        for _ in range(n_bits):
-            current = state
-            for step, qubit in enumerate(order):
-                bit, _, current = measure(current, qubit, rng)
-                flat[qubit].append(bit)
-                if step == 0 and after_first is not None:
-                    after_first(current)
-    texts = [bits.translate(_BIT_CHARS).decode("ascii") for bits in flat]
-    rows = [tuple(text[i : i + n_bits] for i in range(0, len(text), n_bits)) for text in texts]
-    return rows[0], rows[1], rows[2]
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("master seed must lie in [0, 2**64)")
+    levels = _outcome_tree(state, order)
+    bits = np.empty((3, trials, n_bits), np.uint8)
+    for start in range(0, trials, ATTACK_CHUNK):
+        seeds = stream_draws(seed, np.arange(start, min(trials, start + ATTACK_CHUNK),
+                                             dtype=np.uint64))
+        counters = np.zeros(len(seeds), np.uint64)  # each trial's next stream position
+        out = bits[:, start : start + len(seeds)]
+        for slot in range(n_bits):
+            node = np.zeros(len(seeds), np.intp)
+            for level, qubit in zip(levels, order):
+                bit = level.forced[node]
+                if level.born.any():
+                    born = level.born[node]
+                    uniform = (stream_draws(seeds, counters) >> 11).astype(np.float64) * _UNIT
+                    bit = np.where(born, ~(uniform < level.p0[node]), bit)
+                    counters += born
+                out[qubit, :, slot] = bit
+                node = 2 * node + bit
+    ones = int(np.count_nonzero(bits[order[0]]))
+    counts = (n_bits * trials - ones, ones)
+    first = {bit: (post, counts[bit]) for bit, post in enumerate(levels[1].states)
+             if post is not None}
+    return tuple(tuple(bit_strings(qubit_bits)) for qubit_bits in bits), first
 
 
 def _slots(*series: tuple[str, ...]) -> list[str]:
@@ -165,16 +242,16 @@ def eve_ghz_attack(n_bits: int, trials: int, eve_first: bool, seed: int) -> Atta
     # each remaining holder must be left in a product with the other two
     # qubits, even though the remaining bits stay correlated
     cuts = [((q,), tuple(p for p in range(3) if p != q)) for q in order[1:]]
-    separable: list[bool] = []
-
-    def check_remainder(state: qsim.PureState) -> None:
-        separable.append(all(qsim.is_product(state, cut).separable for cut in cuts))
-
-    eve, alice, bob = _three_holder_attack(
-        qsim.prepare_ghz(3), order, n_bits, trials, seed, check_remainder)
+    (eve, alice, bob), first = _three_holder_attack(
+        qsim.prepare_ghz(3), order, n_bits, trials, seed)
+    # one verdict per state the first measurement leaves, weighted by its slots
+    separable = sum(
+        slots for state, slots in first.values()
+        if slots and all(qsim.is_product(state, cut).separable for cut in cuts)
+    )
     return _report(GHZ_ATTACK, n_bits, eve, alice, bob, {
         "eve_first": bool(eve_first),
-        "remainder_separable_rate": sum(separable) / len(separable),
+        "remainder_separable_rate": separable / (n_bits * trials),
     })
 
 
@@ -186,7 +263,8 @@ def eve_w_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     anti-correlated pair and always disagree), so the channel degrades into
     denial of service rather than eavesdropping.
     """
-    eve, alice, bob = _three_holder_attack(qsim.prepare_w(), (0, 1, 2), n_bits, trials, seed)
+    (eve, alice, bob), _ = _three_holder_attack(
+        qsim.prepare_w(), (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
     joint = Counter(_slots(eve, alice, bob))
     eve_zero = "".join(eve).count("0")
@@ -207,7 +285,7 @@ def biseparable_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     correlation with the action number — and the residual anti-correlated
     pair breaks Alice-Bob agreement outright.
     """
-    eve, alice, bob = _three_holder_attack(
+    (eve, alice, bob), _ = _three_holder_attack(
         qsim.prepare_biseparable(), (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
     joint = Counter(_slots(alice, bob))
@@ -249,7 +327,7 @@ def wolf_cnot_attack(n_bits: int, trials: int, target_bit: int, seed: int) -> At
     Alice and Bob still agree perfectly; with |1> he reads the complement.
     """
     triple = build_wolf_triple(target_bit)
-    alice, bob, wolf = _three_holder_attack(triple, (0, 1, 2), n_bits, trials, seed)
+    (alice, bob, wolf), _ = _three_holder_attack(triple, (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
     matches = sum(w == a for w, a in zip("".join(wolf), "".join(alice)))
     return _report(WOLF_CNOT_ATTACK, n_bits, wolf, alice, bob, {

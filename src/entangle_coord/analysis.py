@@ -384,7 +384,8 @@ def reconcile(
             if parity_differs(block):
                 bisect(block)
 
-    k1 = min(n, max(2, round(_CASCADE_BLOCK_CONSTANT / eps_hint)))
+    # clamped to n before rounding: 0.73/eps_hint is inf for subnormal hints
+    k1 = min(n, max(2, round(min(_CASCADE_BLOCK_CONSTANT / eps_hint, n))))
     run_pass(list(range(n)), k1)
     passes = 1
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,17 +11,20 @@ from hypothesis import strategies as st
 
 from entangle_coord import cli, qsim
 from entangle_coord.adversary import (
+    ATTACK_CHUNK,
     AttackReport,
     BISEPARABLE_ATTACK,
     GHZ_ATTACK,
     W_ATTACK,
     WOLF_CNOT_ATTACK,
     biseparable_attack,
+    _three_holder_attack,
     build_wolf_triple,
     eve_ghz_attack,
     eve_w_attack,
     wolf_cnot_attack,
 )
+from entangle_coord.seeding import GAMMA, SplitMix64, derive_seed
 
 
 class FixedRng:
@@ -317,3 +321,139 @@ def test_attack_exact_invariants_hold_for_every_input(
     envelope = json.loads(cli.render(args.handler(args), "json"))
     cli.validate_envelope(envelope)
     assert envelope["results"] == json.loads(json.dumps(report.to_dict()))
+
+
+# ----------------------------------------- batched attacks vs slot by slot
+
+
+def scalar_three_holder_attack(state, order, n_bits, trials, seed, after_first=None):
+    """The slot-by-slot reference: a fresh copy of `state` per slot.
+
+    Trial t reads SplitMix64(derive_seed(seed, t)) one draw at a time through
+    qsim.measure_qubit; `after_first(bit, state)` sees every slot's first
+    outcome and the state it leaves.  Returns qubit 0, 1 and 2's strings.
+    """
+    flat = (bytearray(), bytearray(), bytearray())  # each qubit's bits, slot after slot
+    for trial in range(trials):
+        rng = SplitMix64(derive_seed(seed, trial))
+        for _ in range(n_bits):
+            current = state
+            for step, qubit in enumerate(order):
+                bit, _, current = qsim.measure_qubit(current, qubit, rng)
+                flat[qubit].append(ord("0") + bit)
+                if step == 0 and after_first is not None:
+                    after_first(bit, current)
+    texts = [bits.decode("ascii") for bits in flat]
+    return tuple(
+        tuple(text[i : i + n_bits] for i in range(0, len(text), n_bits)) for text in texts)
+
+
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix(z):
+    # inverse of the SplitMix64 output stage
+    z = _unxorshift(z, 31) * pow(_MIX2, -1, 1 << 64) & _MASK64
+    z = _unxorshift(z, 27) * pow(_MIX1, -1, 1 << 64) & _MASK64
+    return _unxorshift(z, 30)
+
+
+def _seed_with_first_draw(draw):
+    # the master seed whose trial 0 reads `draw` first
+    trial_seed = (_unmix(draw) - GAMMA) & _MASK64
+    return (_unmix(trial_seed) - GAMMA) & _MASK64
+
+
+_NEAR_DEGENERATE = [qsim.DEGENERATE_BRANCH * f for f in (0.999, 1.0, 1.001)]
+_PINNED_WEIGHTS = _NEAR_DEGENERATE + [1.0 - w for w in _NEAR_DEGENERATE] + [0.5]
+
+
+@st.composite
+def three_qubit_states(draw):
+    """Random normalised complex triples, some with zero amplitudes and some
+    with one qubit's branch weight pinned at or next to DEGENERATE_BRANCH."""
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    amps = np.array([complex(draw(part), draw(part)) for _ in range(8)])
+    amps[draw(st.lists(st.booleans(), min_size=8, max_size=8))] = 0.0
+    amps[abs(amps) < 1e-100] = 0.0  # a norm of subnormal parts underflows to 0
+    amps[draw(st.integers(0, 7))] += 1e-3  # never the zero vector
+    pin = draw(st.none() | st.tuples(st.integers(0, 2), st.sampled_from(_PINNED_WEIGHTS)))
+    if pin is None:
+        return qsim.PureState(3, amps / np.linalg.norm(amps))
+    qubit, weight = pin
+    ones = np.array([i >> (2 - qubit) & 1 for i in range(8)], bool)
+    for idx, share in ((~ones, 1.0 - weight), (ones, weight)):
+        if not np.any(amps[idx]):
+            amps[np.flatnonzero(idx)[0]] = 1.0
+        amps[idx] *= math.sqrt(share) / np.linalg.norm(amps[idx])
+    if weight == qsim.DEGENERATE_BRANCH:
+        # a lone amplitude 1e-6 puts p1 exactly on the threshold: 1e-6**2 == 1e-12
+        amps[ones] = 0.0
+        amps[np.flatnonzero(ones)[draw(st.integers(0, 3))]] = 1e-6
+        return qsim.PureState(3, amps)
+    return qsim.PureState(3, amps / np.linalg.norm(amps))
+
+
+def _assert_batch_matches_reference(state, order, n_bits, trials, seed):
+    first_seen = Counter()
+    first_states = {}
+
+    def record(bit, post):
+        first_seen[bit] += 1
+        first_states.setdefault(bit, set()).add(post.amplitudes.tobytes())
+
+    expected = scalar_three_holder_attack(state, order, n_bits, trials, seed, record)
+    strings, first = _three_holder_attack(state, order, n_bits, trials, seed)
+    assert strings == expected
+    assert {bit: slots for bit, (_, slots) in first.items() if slots} == dict(first_seen)
+    for bit, amplitudes in first_states.items():
+        assert amplitudes == {first[bit][0].amplitudes.tobytes()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state=three_qubit_states(),
+    order=st.permutations((0, 1, 2)),
+    n_bits=st.integers(1, 6),
+    trials=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+    tie=st.booleans(),
+    low=st.integers(0, (1 << 11) - 1),
+)
+def test_batched_attack_matches_scalar_reference(state, order, n_bits, trials, seed, tie, low):
+    order = tuple(order)
+    p1 = qsim.measurement_probabilities(state, order[0])[1]
+    p0 = 1.0 - p1
+    scaled = p0 * 2.0**53
+    if tie and min(p0, p1) >= qsim.DEGENERATE_BRANCH and scaled == int(scaled):
+        # trial 0's first uniform equals the first node's p0 exactly, so
+        # `u < p0` and `u <= p0` pick different bits
+        seed = _seed_with_first_draw(int(scaled) << 11 | low)
+        assert SplitMix64(derive_seed(seed, 0)).random() == p0
+    _assert_batch_matches_reference(state, order, n_bits, trials, seed)
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    state=three_qubit_states(),
+    order=st.permutations((0, 1, 2)),
+    n_bits=st.integers(1, 2),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_batched_attack_matches_reference_across_a_chunk_boundary(state, order, n_bits, seed):
+    _assert_batch_matches_reference(state, tuple(order), n_bits, ATTACK_CHUNK + 1, seed)
+
+
+def test_attacks_reject_seeds_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            eve_w_attack(1, 1, seed)

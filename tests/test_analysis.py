@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entangle_coord.analysis import (
     MAX_PASSES,
@@ -284,6 +286,41 @@ def test_reconcile_validates_arguments():
             reconcile("0101", "0101", bad, 0)
     with pytest.raises(ValueError):
         reconcile("0101", "0101", 0.1, -3)
+
+
+def test_reconcile_accepts_hints_whose_block_size_overflows():
+    # 0.73 / 1e-320 is inf: the first block is the whole string
+    report, _, b_out = reconcile("0101", "0111", 1e-320, 3)
+    assert (report.success, b_out) == (True, "0101")
+    assert reconcile("0101", "0111", 1e-320, 3) == reconcile("0101", "0111", 1e-300, 3)
+
+
+@st.composite
+def string_pairs(draw):
+    alice = draw(st.text("01", min_size=1, max_size=300))
+    if draw(st.booleans()):
+        bob = draw(st.text("01", min_size=len(alice), max_size=len(alice)))
+    else:
+        flips = draw(st.sets(st.integers(0, len(alice) - 1)))
+        bob = "".join("10"[int(c)] if i in flips else c for i, c in enumerate(alice))
+    return alice, bob
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=string_pairs(),
+    eps_hint=st.floats(0.0, 0.5, exclude_min=True),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_reconcile_never_adds_errors_and_discloses_at_least_them(pair, eps_hint, seed):
+    alice, bob = pair
+    report, a_out, b_out = reconcile(alice, bob, eps_hint, seed)
+    assert report.errors_before == sum(a != b for a, b in zip(alice, bob))
+    assert report.errors_after <= report.errors_before
+    assert report.disclosed_bits >= report.errors_before
+    assert a_out == alice
+    assert len(b_out) == len(alice)
+    assert sum(a != b for a, b in zip(a_out, b_out)) == report.errors_after
 
 
 def test_reconcile_soundness_random_instances():

@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entangle_coord import cli
+from entangle_coord.qsim import QUBIT_CAP
 
 
 @pytest.fixture(autouse=True)
@@ -298,6 +303,47 @@ def test_bound_extreme_inputs_print_only_the_error(argv, message, capsys):
         warnings.simplefilter("error")
         code, out, err = invoke(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_SEEDED = [["run"], ["reconcile"],
+           *(["attack", kind] for kind in ("ghz", "w", "biseparable", "wolf"))]
+
+
+def _eps_outside(zero_allowed):
+    """NaN and floats outside [0, 0.5], or outside (0, 0.5] unless `zero_allowed`."""
+    below = st.floats(max_value=-5e-324) if zero_allowed else st.floats(max_value=0.0)
+    return below | st.floats(min_value=0.5, exclude_min=True) | st.just(math.nan)
+
+
+def _flag(commands, flag, values):
+    # `--flag=value`, so that a value like -1e+20 is not read as an option
+    return st.tuples(st.sampled_from(commands), values).map(
+        lambda cv: [*cv[0], f"{flag}={cv[1]!r}"])
+
+
+_OUT_OF_DOMAIN_ARGV = st.one_of(
+    _flag(_SEEDED, "--bits", st.integers(max_value=0)),
+    _flag(_SEEDED, "--trials", st.integers(max_value=0)),
+    _flag(_SEEDED, "--seed", st.integers(max_value=-1) | st.integers(min_value=2**64)),
+    _flag([["run"]], "--eps", _eps_outside(zero_allowed=True)),
+    _flag([["run"]], "--theta-a", st.sampled_from([math.nan, math.inf, -math.inf])),
+    _flag([["run"]], "--theta-b", st.sampled_from([math.nan, math.inf, -math.inf])),
+    _flag([["run"]], "--agents", st.integers(max_value=1) | st.integers(min_value=QUBIT_CAP + 1)),
+    _flag([["reconcile"], ["bound"]], "--eps", _eps_outside(zero_allowed=False)),
+    _flag([["nicd", "--eps=0.1"]], "--m", st.integers(max_value=0) | st.integers(min_value=5)),
+    _flag([["nicd", "--m=2"]], "--eps", _eps_outside(zero_allowed=True)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_OUT_OF_DOMAIN_ARGV)
+def test_out_of_domain_numbers_exit_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 @pytest.mark.parametrize("argv", [
