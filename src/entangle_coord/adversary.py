@@ -43,7 +43,7 @@ import numpy as np
 
 from . import qsim
 from .protocol import bit_strings
-from .seeding import stream_draws
+from .seeding import _MASK64, _UNIT, stream_draws, uniforms
 
 GHZ_ATTACK = "GHZ"
 W_ATTACK = "W"
@@ -53,8 +53,6 @@ WOLF_CNOT_ATTACK = "WolfCNOT"
 #: The attacks process trials in chunks of at most this many, which bounds
 #: their working memory.
 ATTACK_CHUNK = 1 << 12
-_MASK64 = (1 << 64) - 1
-_UNIT = 1.1102230246251565e-16  # 2**-53, as SplitMix64.random
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,7 @@ def _three_holder_attack(
                 bit = level.forced[node]
                 if level.born.any():
                     born = level.born[node]
-                    uniform = (stream_draws(seeds, counters) >> 11).astype(np.float64) * _UNIT
-                    bit = np.where(born, ~(uniform < level.p0[node]), bit)
+                    bit = np.where(born, ~(uniforms(seeds, counters) < level.p0[node]), bit)
                     counters += born
                 out[qubit, :, slot] = bit
                 node = 2 * node + bit

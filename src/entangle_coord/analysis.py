@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .seeding import SplitMix64, derive_seed
+from .seeding import derive_seed, shuffle
 
 #: reconciliation refuses to loop beyond this many passes
 MAX_PASSES = 16
@@ -326,8 +326,13 @@ class ReconcileReport:
 
 
 def _check_bit_string(name: str, value: str) -> None:
-    if not value or any(c not in "01" for c in value):
+    if not value or value.strip("01"):  # a character other than 0 and 1 is left
         raise ValueError(f"{name} must be a non-empty bit string")
+
+
+def _pass_order(seed: int, pass_number: int, n: int) -> np.ndarray:
+    perm, _ = shuffle(derive_seed(seed, pass_number), n)
+    return np.array(perm)
 
 
 def reconcile(
@@ -344,6 +349,10 @@ def reconcile(
     simulator's privilege, not counted as disclosure) and further permuted
     passes with shrinking blocks run until the strings match or MAX_PASSES
     is hit.  The channel is assumed authenticated and error-free.
+
+    The permutation of pass p >= 2 is seeding.shuffle(derive_seed(seed, p),
+    n): it reads positions 0, 1, ... of that stream.  Every parity is taken
+    of the difference vector a ^ b, the only thing the passes depend on.
     """
     _check_bit_string("alice", alice)
     _check_bit_string("bob", bob)
@@ -352,57 +361,42 @@ def reconcile(
     if not 0.0 < eps_hint <= 0.5:
         raise ValueError(f"eps_hint {eps_hint!r} outside (0, 0.5]")
     n = len(alice)
-    a = [int(c) for c in alice]
-    b = [int(c) for c in bob]
-    errors_before = sum(x != y for x, y in zip(a, b))
+    a = np.frombuffer(alice.encode("ascii"), np.uint8) - 48
+    d = a ^ (np.frombuffer(bob.encode("ascii"), np.uint8) - 48)
+    errors_before = int(np.count_nonzero(d))
     disclosed = 0
 
-    def parity_differs(positions) -> bool:
-        nonlocal disclosed
-        disclosed += 1
-        pa = 0
-        pb = 0
-        for i in positions:
-            pa ^= a[i]
-            pb ^= b[i]
-        return pa != pb
-
-    def bisect(positions) -> None:
-        # invariant: `positions` holds an odd number of differing bits
-        while len(positions) > 1:
-            mid = (len(positions) + 1) // 2
-            left = positions[:mid]
-            if parity_differs(left):
-                positions = left
-            else:
-                positions = positions[mid:]
-        b[positions[0]] ^= 1
-
     def run_pass(order, block_size) -> None:
-        for start in range(0, n, block_size):
-            block = order[start : start + block_size]
-            if parity_differs(block):
-                bisect(block)
+        # Blocks are disjoint and a block's bit is flipped only once its
+        # bisection ends, so every parity of the pass is a parity of d as
+        # the pass found it: one prefix xor answers them all, and the odd
+        # blocks bisect in lockstep.
+        nonlocal disclosed
+        prefix = np.zeros(n + 1, np.uint8)
+        np.bitwise_xor.accumulate(d[order], out=prefix[1:])
+        lo = np.arange(0, n, block_size)
+        hi = np.minimum(lo + block_size, n)
+        disclosed += len(lo)
+        odd = (prefix[hi] ^ prefix[lo]).astype(bool)
+        lo, hi = lo[odd], hi[odd]
+        while (active := hi - lo > 1).any():
+            disclosed += int(np.count_nonzero(active))
+            mid = lo + (hi - lo + 1) // 2
+            left_odd = (prefix[mid] ^ prefix[lo]).astype(bool)
+            hi = np.where(active & left_odd, mid, hi)
+            lo = np.where(active & ~left_odd, mid, lo)
+        d[order[lo]] ^= 1
 
     # clamped to n before rounding: 0.73/eps_hint is inf for subnormal hints
     k1 = min(n, max(2, round(min(_CASCADE_BLOCK_CONSTANT / eps_hint, n))))
-    run_pass(list(range(n)), k1)
-    passes = 1
-
-    perm = list(range(n))
-    SplitMix64(derive_seed(seed, 2)).shuffle(perm)
-    run_pass(perm, min(n, 2 * k1))
+    run_pass(np.arange(n), k1)
+    run_pass(_pass_order(seed, 2, n), min(n, 2 * k1))
     passes = 2
+    while d.any() and passes < MAX_PASSES:
+        passes += 1
+        run_pass(_pass_order(seed, passes, n), min(n, max(2, k1 >> (passes - 2))))
 
-    next_pass = 3
-    while a != b and next_pass <= MAX_PASSES:
-        perm = list(range(n))
-        SplitMix64(derive_seed(seed, next_pass)).shuffle(perm)
-        run_pass(perm, min(n, max(2, k1 >> (next_pass - 2))))
-        passes = next_pass
-        next_pass += 1
-
-    errors_after = sum(x != y for x, y in zip(a, b))
+    errors_after = int(np.count_nonzero(d))
     report = ReconcileReport(
         n=n,
         errors_before=errors_before,
@@ -411,6 +405,4 @@ def reconcile(
         passes=passes,
         success=errors_after == 0,
     )
-    alice_out = "".join("01"[x] for x in a)
-    bob_out = "".join("01"[x] for x in b)
-    return report, alice_out, bob_out
+    return report, alice, ((a ^ d) + 48).tobytes().decode("ascii")

@@ -358,10 +358,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Every flag whose value is a number or a list of numbers.
+_NUMERIC_FLAGS = frozenset({
+    "--bits", "--trials", "--seed", "--eps", "--theta-a", "--theta-b", "--agents",
+    "--m", "--grid", "--target-bit",
+})
+
+
+def _is_numeric_flag(token: str) -> bool:
+    # the flag itself, or an abbreviation argparse may expand to it
+    return token.startswith("--") and len(token) > 2 and any(
+        flag.startswith(token) for flag in _NUMERIC_FLAGS)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    # argparse takes a token such as -1e+20 or -inf for an option, so a value
+    # that starts with a single "-" is attached to its numeric flag instead.
+    out: list[str] = []
+    for token in argv:
+        if out and _is_numeric_flag(out[-1]) and token[:1] == "-" and token[1:2] != "-":
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:  # argparse already reported; fold into our codes
         code = exc.code
         return code if isinstance(code, int) else 2

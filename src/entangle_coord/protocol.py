@@ -48,9 +48,7 @@ from . import qsim
 # and patches qsim.measure_qubit to count the attacks'; binding the operators
 # by name keeps it from counting protocol's twice.
 from .qsim import DEGENERATE_BRANCH, PureState, apply_y_rotation, measure_qubit
-from .seeding import SplitMix64, stream_draws
-
-_MASK64 = (1 << 64) - 1
+from .seeding import _MASK64, SplitMix64, randrange, stream_draws, uniforms
 
 #: RunRecord strike value when the two bit strings disagree.
 AMBIGUOUS = "ambiguous"
@@ -467,7 +465,6 @@ def run_multiagent(
 #: (trials x n_bits x 2**k, at least one trial), which bounds its memory.
 BATCH_AMPLITUDES = 1 << 13
 _RECORD_CHUNK = 1 << 12
-_UNIT = 1.1102230246251565e-16  # 2**-53, as SplitMix64.random
 
 
 class TrialBatch(NamedTuple):
@@ -528,21 +525,6 @@ def _action_tokens(bases: np.ndarray, bits: np.ndarray) -> list[tuple[str, ...]]
     return [tuple(flat[i : i + n_bits]) for i in range(0, len(flat), n_bits)]
 
 
-def _randrange(seeds: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
-    # SplitMix64.randrange(n) on every lane; advances `counters` past the
-    # draws each lane used, rejected ones included.
-    shift = 64 - (n - 1).bit_length()
-    values = np.empty(len(seeds), np.intp)
-    pending = np.arange(len(seeds))
-    while pending.size:
-        drawn = stream_draws(seeds[pending], counters[pending]) >> shift
-        counters[pending] += 1
-        ok = drawn < n
-        values[pending[ok]] = drawn[ok]
-        pending = pending[~ok]
-    return values
-
-
 def _holders(seeds: np.ndarray, k: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
     # Which qubit of each slot's register every agent holds, shape (k, lanes,
     # n_bits), and each lane's next stream position.
@@ -556,7 +538,7 @@ def _holders(seeds: np.ndarray, k: int, n_bits: int) -> tuple[np.ndarray, np.nda
     rows = np.arange(lanes)
     for perm in perms:  # Fisher-Yates per slot, in slot order
         for i in range(k - 1, 0, -1):
-            j = _randrange(seeds, counters, i + 1)
+            j = randrange(seeds, counters, i + 1)
             last = perm[:, i].copy()
             perm[:, i] = perm[rows, j]
             perm[rows, j] = last
@@ -596,13 +578,11 @@ def _run_chunk(seeds, k, n_bits, noise, register) -> tuple[np.ndarray, np.ndarra
         born = ~(low | (p0 < DEGENERATE_BRANCH))
         used = born.astype(np.uint64) + (1 if flip else 0)
         positions = counters[:, None] + (np.cumsum(used, axis=1) - used)
-        uniform = (stream_draws(lane_seeds, positions) >> 11).astype(np.float64) * _UNIT
-        bit = np.where(born, ~(uniform < p0), ~low)
+        bit = np.where(born, ~(uniforms(lane_seeds, positions) < p0), ~low)
         amps *= (1.0 / np.sqrt(np.where(bit, p1, p0)))[..., None]
         amps *= hot == bit[..., None]  # collapse onto the observed branch
         if flip:
-            uniform = (stream_draws(lane_seeds, positions + born) >> 11).astype(np.float64)
-            bit ^= uniform * _UNIT < flip
+            bit ^= uniforms(lane_seeds, positions + born) < flip
         bits[agent] = bit
         counters = counters + used.sum(axis=1)
     return bases, bits

@@ -17,6 +17,11 @@ exactly.  Reference vectors live in ``tests/data/seed_vectors.json``.
 
 Master seeds and stream seeds are 64-bit: anything outside [0, 2**64) is
 rejected rather than reduced, so no two distinct seeds alias one stream.
+
+Draw j of a stream is addressed by (seed, j) alone, so the numpy kernels
+here (raw draws, uniforms, rejection-sampled integers and the Fisher-Yates
+shuffle) compute whole blocks or lanes of draws at once and equal what
+:class:`SplitMix64` reads one at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_UNIT = 1.1102230246251565e-16  # 2**-53: a draw's top 53 bits times this is uniform in [0, 1)
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -59,6 +65,64 @@ def stream_draws(seeds, counters) -> np.ndarray:
     return z
 
 
+def uniforms(seeds, counters) -> np.ndarray:
+    """:meth:`SplitMix64.random` of draw `counters` of stream `seeds`, elementwise."""
+    return (stream_draws(seeds, counters) >> 11).astype(np.float64) * _UNIT
+
+
+def randrange(seeds: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
+    """:meth:`SplitMix64.randrange` of `n` on every lane, from its counter on.
+
+    Lane i reads stream `seeds[i]` from position `counters[i]`; `counters` is
+    advanced in place past the draws each lane used, rejected ones included.
+    """
+    shift = 64 - (n - 1).bit_length()
+    values = np.empty(len(seeds), np.intp)
+    pending = np.arange(len(seeds))
+    while pending.size:
+        drawn = stream_draws(seeds[pending], counters[pending]) >> shift
+        counters[pending] += 1
+        ok = drawn < n
+        values[pending[ok]] = drawn[ok]
+        pending = pending[~ok]
+    return values
+
+
+def shuffle(seed: int, n: int) -> tuple[list[int], int]:
+    """The Fisher-Yates permutation of range(n) drawn by SplitMix64(`seed`).
+
+    Returns the permutation and the number of draws it used.  Step i (from
+    n - 1 down to 1) swaps position i with j = randrange(i + 1): the top
+    i.bit_length() bits of the next draw, rejected until j <= i.  The draws
+    are computed in blocks from their stream positions; only the rejection
+    scan runs one draw at a time.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must lie in [0, 2**64)")
+    perm = list(range(n))
+    if n < 2:
+        return perm, 0
+    i = n - 1
+    shift = 64 - i.bit_length()
+    low = 1 << (i.bit_length() - 1)  # the smallest i of this width
+    used = 0
+    while i:
+        # the i steps left use about 1.39 i draws, so a block rarely runs out
+        block = np.arange(used, used + 2 * i, dtype=np.uint64)
+        for draw in stream_draws(seed, block).tolist():
+            used += 1
+            j = draw >> shift
+            if j <= i:
+                perm[i], perm[j] = perm[j], perm[i]
+                i -= 1
+                if i < low:
+                    if not i:
+                        break
+                    low >>= 1
+                    shift += 1
+    return perm, used
+
+
 class SplitMix64:
     """Sequential SplitMix64 stream: state advances by GAMMA, output is mixed.
 
@@ -85,7 +149,7 @@ class SplitMix64:
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution."""
-        return (self.next_uint64() >> 11) * 1.1102230246251565e-16  # 2**-53
+        return (self.next_uint64() >> 11) * _UNIT
 
     def getrandbits(self, k: int) -> int:
         """Uniform integer in [0, 2**k) for 1 <= k <= 64."""
@@ -106,7 +170,7 @@ class SplitMix64:
                 return v
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle: :func:`shuffle` from the current state."""
+        perm, used = shuffle(self._state, len(items))
+        items[:] = [items[j] for j in perm]
+        self._state = (self._state + used * GAMMA) & _MASK64

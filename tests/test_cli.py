@@ -316,9 +316,11 @@ def _eps_outside(zero_allowed):
 
 
 def _flag(commands, flag, values):
-    # `--flag=value`, so that a value like -1e+20 is not read as an option
-    return st.tuples(st.sampled_from(commands), values).map(
-        lambda cv: [*cv[0], f"{flag}={cv[1]!r}"])
+    # `--flag=value` or `--flag value`: a value like -1e+20 is never an option
+    def argv(command, value, attached):
+        return [*command, f"{flag}={value!r}"] if attached else [*command, flag, repr(value)]
+
+    return st.builds(argv, st.sampled_from(commands), values, st.booleans())
 
 
 _OUT_OF_DOMAIN_ARGV = st.one_of(
@@ -346,10 +348,27 @@ def test_out_of_domain_numbers_exit_2_with_one_error_line(argv):
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["run", "--eps", "-1e+20"], "flip_prob must lie in [0, 0.5]"),
+    (["run", "--ep", "-1e+20"], "flip_prob must lie in [0, 0.5]"),
+    (["reconcile", "--eps", "-1e-3"], "flip_prob must lie in [0, 0.5]"),
+    (["run", "--theta-b", "-inf"], "misalignment angles must be finite"),
+    (["nicd", "--m", "2", "--eps", "-1e-3"], "eps -0.001 outside [0, 0.5]"),
+    (["bound", "--eps", "-1e-3,0.1"], "eps -0.001 outside (0, 0.5]"),
+    (["bound", "--grid", "-1e-3:0.1:3"], "--grid requires 0 < LO <= HI"),
+])
+def test_negative_exponent_values_given_apart_get_the_domain_error(flags, message, capsys):
+    # these used to be read as options: exit 2 with argparse's usage text
+    attached = [*flags[:-2], f"{flags[-2]}={flags[-1]}"]
+    for argv in (flags, attached):
+        assert invoke(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["frobnicate"],
     [],
     ["run", "--bits"],
+    ["run", "--bits", "--trials", "3"],
     ["attack"],
     ["attack", "quantum"],
     ["bound"],
@@ -417,6 +436,33 @@ def test_identical_invocations_are_byte_identical(argv, capsys):
 def test_json_outputs_validate_against_shipped_schema(argv, capsys):
     _, out, _ = invoke(argv, capsys)
     cli.validate_envelope(json.loads(out))
+
+
+_VALID_ARGV = st.one_of(
+    st.builds(
+        lambda bits, eps, trials, seed: ["reconcile", "--bits", str(bits), "--eps", repr(eps),
+                                         "--trials", str(trials), "--seed", str(seed)],
+        st.integers(1, 64), st.floats(0.0, 0.5, exclude_min=True), st.integers(1, 5),
+        st.integers(0, 2**64 - 1)),
+    st.lists(st.floats(1e-300, 0.5), min_size=1, max_size=5).map(
+        lambda eps: ["bound", "--eps", ",".join(map(repr, eps))]),
+    st.builds(lambda a, b, steps: ["bound", "--grid", f"{min(a, b)!r}:{max(a, b)!r}:{steps}"],
+              st.floats(1e-300, 0.5), st.floats(1e-300, 0.5), st.integers(1, 20)),
+    st.builds(lambda m, eps: ["nicd", "--m", str(m), "--eps", repr(eps)],
+              st.integers(1, 4), st.floats(0.0, 0.5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_VALID_ARGV)
+def test_reconcile_bound_and_nicd_envelopes_match_the_schema(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    envelope = json.loads(out.getvalue())
+    assert envelope["command"] == argv[0]
+    cli.validate_envelope(envelope)
 
 
 def test_schema_rejects_malformed_envelopes(capsys):

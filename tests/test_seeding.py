@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entangle_coord.seeding import SplitMix64, derive_seed, stream_draws
+from entangle_coord.seeding import SplitMix64, derive_seed, shuffle, stream_draws
 
 VECTORS = json.loads((Path(__file__).parent / "data" / "seed_vectors.json").read_text())
 
@@ -49,3 +49,49 @@ def test_stream_draws_address_the_sequential_stream(seed):
     # a master stream's outputs are the derived trial seeds
     trials = np.arange(1000, dtype=np.uint64)
     assert stream_draws(seed, trials).tolist() == [derive_seed(seed, t) for t in range(1000)]
+
+
+def sequential_shuffle(seed, n):
+    """Fisher-Yates over SplitMix64, one draw at a time: (perm, draws, generator)."""
+    rng = SplitMix64(seed)
+    perm = list(range(n))
+    draws = 0
+    for i in range(n - 1, 0, -1):
+        while True:
+            draws += 1
+            j = rng.next_uint64() >> (64 - i.bit_length())
+            if j <= i:
+                break
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm, draws, rng
+
+
+_SHUFFLE_SIZES = [0, 1, 2, 3, *(2**k for k in range(2, 12)), *(2**k + 1 for k in range(2, 12)),
+                  4096]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919, 2**63, 2**64 - 1])
+def test_shuffle_equals_a_sequential_fisher_yates(seed):
+    for n in _SHUFFLE_SIZES:
+        perm, draws, rng = sequential_shuffle(seed, n)
+        assert shuffle(seed, n) == (perm, draws)
+        generator = SplitMix64(seed)
+        items = [f"item{i}" for i in range(n)]
+        generator.shuffle(items)
+        assert items == [f"item{j}" for j in perm]
+        # the generator is left where the sequential loop leaves it
+        assert generator.next_uint64() == rng.next_uint64()
+
+
+def test_shuffle_reads_past_its_first_block_of_draws():
+    # shuffle fetches 2 (n - 1) draws at first; these seeds need more for n = 3
+    seeds = [s for s in range(300) if sequential_shuffle(s, 3)[1] > 4]
+    assert seeds
+    for seed in seeds:
+        assert shuffle(seed, 3) == sequential_shuffle(seed, 3)[:2]
+
+
+def test_shuffle_rejects_seeds_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            shuffle(seed, 4)
