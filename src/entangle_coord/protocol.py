@@ -32,6 +32,14 @@ a batch has s = derive_seed(master, t).  Both engines follow this contract:
 are the sequential reference; `run_batch`, behind `iter_runs` and the
 command line, computes every draw from its (trial seed, position) pair,
 vectorised over trials and slots.
+
+Two branches per slot.  Each qubit is measured once, so a slot's Bell or
+GHZ register only ever has two nonzero amplitudes, u where every unmeasured
+qubit is 0 and v where every one is 1, and `run_batch` keeps just these.
+With (c, s) = (cos t/2, sin t/2), the scalar kernel's p1 has two nonzero
+terms, (s*u)**2 and (c*v)**2, or for the last qubit one, (c*v + s*u)**2;
+its other terms add exact zeros and two floats sum alike in either order,
+so both engines sample against the same p1.
 """
 
 from __future__ import annotations
@@ -461,9 +469,9 @@ def run_multiagent(
 # ------------------------------------------------------------- batch engine
 
 
-#: The engine processes trials in chunks of at most this many amplitudes
-#: (trials x n_bits x 2**k, at least one trial), which bounds its memory.
-BATCH_AMPLITUDES = 1 << 13
+#: The engine processes trials in chunks of at most this many slots (trials x
+#: n_bits, at least one trial); its memory per chunk does not grow with k.
+BATCH_SLOTS = 1 << 13
 _RECORD_CHUNK = 1 << 12
 
 
@@ -525,62 +533,49 @@ def _action_tokens(bases: np.ndarray, bits: np.ndarray) -> list[tuple[str, ...]]
     return [tuple(flat[i : i + n_bits]) for i in range(0, len(flat), n_bits)]
 
 
-def _holders(seeds: np.ndarray, k: int, n_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    # Which qubit of each slot's register every agent holds, shape (k, lanes,
-    # n_bits), and each lane's next stream position.
-    lanes = len(seeds)
+def _holders(seeds: np.ndarray, k: int, n_bits: int) -> np.ndarray:
+    # Each lane's stream position after the holder draws.  Every qubit of a
+    # Bell or GHZ register sits on the same two branches, so which one an
+    # agent holds never reaches a bit; only the number of draws does.
     if k == 2:
-        held = stream_draws(seeds[:, None], np.arange(n_bits, dtype=np.uint64)) >> 63
-        held = held.astype(np.intp)
-        return np.stack([held, 1 - held]), np.full(lanes, n_bits, np.uint64)
-    perms = np.tile(np.arange(k), (n_bits, lanes, 1))
-    counters = np.zeros(lanes, np.uint64)
-    rows = np.arange(lanes)
-    for perm in perms:  # Fisher-Yates per slot, in slot order
+        return np.full(len(seeds), n_bits, np.uint64)
+    counters = np.zeros(len(seeds), np.uint64)
+    for _ in range(n_bits):  # Fisher-Yates per slot, in slot order
         for i in range(k - 1, 0, -1):
-            j = randrange(seeds, counters, i + 1)
-            last = perm[:, i].copy()
-            perm[:, i] = perm[rows, j]
-            perm[rows, j] = last
-    return perms.transpose(2, 1, 0), counters
+            randrange(seeds, counters, i + 1)
+    return counters
 
 
-def _run_chunk(seeds, k, n_bits, noise, register) -> tuple[np.ndarray, np.ndarray]:
+def _run_chunk(seeds, k, n_bits, noise, amplitude) -> tuple[np.ndarray, np.ndarray]:
     # Token bases (k, lanes) and bits (k, lanes, n_bits) of one chunk of trials.
-    qubits, counters = _holders(seeds, k, n_bits)
+    counters = _holders(seeds, k, n_bits)
     bases = stream_draws(seeds, counters + np.arange(k, dtype=np.uint64)[:, None])
     bits = np.empty((k, len(seeds), n_bits), np.uint8)
     counters = counters + k
     lane_seeds = seeds[:, None]
-    index = np.arange(len(register), dtype=np.int32)
-    amps = np.broadcast_to(register, (len(seeds), n_bits, len(register))).copy()
+    # Each slot's two branch amplitudes (see the module docstring).
+    u = np.full((len(seeds), n_bits), amplitude)
+    v = u.copy()
     for agent in range(k):
         theta = noise.misalign_alice if agent == 0 else noise.misalign_bob
         flip = noise.flip_prob if agent else 0.0
-        mask = (1 << (k - 1 - qubits[agent])).astype(np.int32)[..., None]
-        hot = (index & mask) != 0  # basis states with the measured qubit set
-        if theta != 0.0:
-            # c*a -/+ s*partner, the scalar kernel's float operations in place
-            partner = np.take_along_axis(amps, index ^ mask, axis=-1)
-            partner *= math.sin(theta / 2.0)
-            np.negative(partner, out=partner, where=~hot)
-            amps *= math.cos(theta / 2.0)
-            amps += partner
-            del partner
-        # Left-to-right sum over the set indices, as the scalar kernel; the
-        # +0.0 terms for clear indices leave a non-negative sum unchanged.
-        terms = amps * amps
-        terms *= hot
-        p1 = np.cumsum(terms, axis=-1, out=terms)[..., -1].copy()
-        del terms
+        c = math.cos(theta / 2.0)
+        s = math.sin(theta / 2.0)
+        if agent < k - 1:  # the rotated qubit splits each branch
+            a0, a1, b0, b1 = c * u, s * u, -(s * v), c * v
+            p1 = a1 * a1 + b1 * b1
+        else:  # one qubit left: u and v are its own two amplitudes
+            p1 = np.square(c * v + s * u)
         p0 = 1.0 - p1
         low = p1 < DEGENERATE_BRANCH
         born = ~(low | (p0 < DEGENERATE_BRANCH))
         used = born.astype(np.uint64) + (1 if flip else 0)
         positions = counters[:, None] + (np.cumsum(used, axis=1) - used)
         bit = np.where(born, ~(uniforms(lane_seeds, positions) < p0), ~low)
-        amps *= (1.0 / np.sqrt(np.where(bit, p1, p0)))[..., None]
-        amps *= hot == bit[..., None]  # collapse onto the observed branch
+        if agent < k - 1:  # collapse onto the observed branch
+            scale = 1.0 / np.sqrt(np.where(bit, p1, p0))
+            u = np.where(bit, a1, a0) * scale
+            v = np.where(bit, b1, b0) * scale
         if flip:
             bit ^= uniforms(lane_seeds, positions + born) < flip
         bits[agent] = bit
@@ -600,8 +595,8 @@ def run_batch(
     Trial t equals run_multiagent(k_agents, n_bits, noise, derive_seed(
     master_seed, t)) (run_protocol for two agents) bit for bit: every draw is
     computed from the trial seed and its stream position (see the module
-    docstring), vectorised over trials and slots with real float64
-    amplitudes.
+    docstring), vectorised over trials and slots with two real branch
+    amplitudes per slot in place of its register's 2**k.
     """
     if k_agents < 2:
         raise ValueError("need at least 2 agents")
@@ -611,17 +606,19 @@ def run_batch(
         raise ValueError("trials must be non-negative")
     if not 0 <= master_seed <= _MASK64:
         raise ValueError("master seed must lie in [0, 2**64)")
-    # Bell and GHZ states and Y rotations keep every amplitude real.
-    register = _shared_state(k_agents).amplitudes.real
+    if k_agents > qsim.QUBIT_CAP:
+        raise ValueError(f"num_qubits={k_agents} exceeds QUBIT_CAP={qsim.QUBIT_CAP}")
+    # Both branches of a Bell or GHZ state start at the Bell state's 1/sqrt(2).
+    amplitude = float(_shared_state(2).amplitudes[0].real)
     seeds = np.empty(trials, np.uint64)
     bases = np.empty((k_agents, trials), np.uint64)
     bits = np.empty((k_agents, trials, n_bits), np.uint8)
-    lanes = max(1, BATCH_AMPLITUDES // (n_bits * len(register)))
+    lanes = max(1, BATCH_SLOTS // n_bits)
     for start in range(0, trials, lanes):
         part = slice(start, start + lanes)
         chunk = seeds[part]
         chunk[:] = stream_draws(master_seed, np.arange(start, start + len(chunk), dtype=np.uint64))
-        bases[:, part], bits[:, part] = _run_chunk(chunk, k_agents, n_bits, noise, register)
+        bases[:, part], bits[:, part] = _run_chunk(chunk, k_agents, n_bits, noise, amplitude)
     return TrialBatch(seeds, bases, bits)
 
 

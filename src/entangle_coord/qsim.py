@@ -8,11 +8,11 @@ renormalizes the surviving branch by the square root of its probability.
 States are kept as explicit complex128 vectors of length 2**num_qubits.
 Rotation and measurement have one loop kernel each for every register size:
 they walk the basis indices in Python, and the Born probability p1 of a qubit
-is summed over the indices where it is set in ascending basis-index order,
-the order `protocol.run_batch` sums in too.  Each of them therefore costs
-O(2**n) Python steps; each shared resource is its own PureState, and wide
-command-line runs go through the vectorised `protocol.run_batch` instead of
-these operators.
+is summed over the indices where it is set in ascending basis-index order.
+Each of them therefore costs O(2**n) Python steps.  Command-line runs go
+through `protocol.run_batch` instead, which keeps only the two nonzero
+amplitudes of each Bell or GHZ register and still reproduces these
+operators' p1 bit for bit (see that module's docstring).
 """
 
 from __future__ import annotations

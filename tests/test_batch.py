@@ -1,6 +1,7 @@
 """The counter-addressed batch engine equals the scalar reference bit for bit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from entangle_coord import protocol
 from entangle_coord.protocol import (
-    BATCH_AMPLITUDES,
+    BATCH_SLOTS,
     NoiseModel,
     RunRecord,
     action_number_counts,
@@ -19,7 +20,7 @@ from entangle_coord.protocol import (
     run_multiagent,
     run_protocol,
 )
-from entangle_coord.qsim import DEGENERATE_BRANCH
+from entangle_coord.qsim import DEGENERATE_BRANCH, QUBIT_CAP
 from entangle_coord.seeding import SplitMix64, derive_seed
 
 # The angle at which a Bell partner's small branch weighs exactly
@@ -70,7 +71,7 @@ def _assert_matches_scalar(k, n_bits, noise, trials, master):
 @settings(max_examples=120, deadline=None)
 @given(
     n_bits=st.integers(1, 12),
-    k=st.integers(2, 6),
+    k=st.integers(2, 8),
     eps=flip_probs,
     theta_a=angles,
     theta_b=angles,
@@ -84,7 +85,7 @@ def test_batch_equals_scalar_reference(n_bits, k, eps, theta_a, theta_b, master,
 
 @pytest.mark.parametrize("k,n_bits", [(2, 1), (3, 2)])
 def test_chunk_boundaries_never_shift_a_trial(k, n_bits):
-    lanes = BATCH_AMPLITUDES // (n_bits << k)
+    lanes = BATCH_SLOTS // n_bits
     noise = NoiseModel(flip_prob=0.1, misalign_bob=0.4)
     for trials in (lanes + 1, 2 * lanes + 1):
         batch = run_batch(k, n_bits, noise, trials, 77)
@@ -101,8 +102,21 @@ def test_chunk_boundaries_never_shift_a_trial(k, n_bits):
 
 
 def test_wide_register_matches_scalar():
-    noise = NoiseModel(flip_prob=0.2, misalign_bob=0.3)
+    noise = NoiseModel(flip_prob=0.2, misalign_alice=-0.7, misalign_bob=0.3)
     _assert_matches_scalar(12, 2, noise, 2, 5)
+
+
+def test_memory_does_not_grow_with_the_register():
+    # a dense 2**20-amplitude register alone would take 8 MB per slot
+    noise = NoiseModel(flip_prob=0.1, misalign_alice=0.2, misalign_bob=0.3)
+    run_batch(QUBIT_CAP, 1, noise, 2, 5)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        run_batch(QUBIT_CAP, 1, noise, 2, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_iter_runs_yields_run_records():
