@@ -16,10 +16,10 @@ Qubit layout inside each trial's register:
 Draw layout.  Trial t of an attack with seed s reads the SplitMix64 stream of
 derive_seed(s, t), and nothing else.  Slot by slot, in slot order, a fresh
 copy of the attack's 3-qubit state is measured one qubit at a time in the
-attack's order; each measurement takes one Born draw, or none when one of its
-branches is below qsim.DEGENERATE_BRANCH.  So a measurement's draw sits at
-the stream position that counts the non-degenerate measurements before it in
-the same trial, earlier slots included.
+attack's order; each measurement takes one Born draw, or none when
+`qsim.branches` finds one of its branches degenerate.  So a measurement's
+draw sits at the stream position that counts the non-degenerate measurements
+before it in the same trial, earlier slots included.
 
     attack                       order
     GHZ, Eve first               (0, 1, 2)
@@ -28,7 +28,8 @@ the same trial, earlier slots included.
     Wolf                         (0, 1, 2), Wolf on qubit 2
 
 Every slot walks one path through the same outcome tree (at most 1 + 2 + 4
-states), so each call builds that tree once with qsim's public operators and
+states), so each call builds that tree once from `qsim.branches`, which
+gives every node's two children and the p0 a draw is compared with, and
 then computes every draw from its (trial seed, stream position) pair,
 vectorised over trials.
 """
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import qsim
 from .protocol import bit_strings
-from .seeding import _MASK64, _UNIT, stream_draws, uniforms
+from .seeding import _MASK64, stream_draws, uniforms
 
 GHZ_ATTACK = "GHZ"
 W_ATTACK = "W"
@@ -103,56 +104,26 @@ class AttackReport:
         return out
 
 
-class _Steer:
-    """Stand-in rng whose every uniform is `value`, to pick a branch."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float) -> None:
-        self.value = value
-
-    def random(self) -> float:
-        return self.value
-
-
-# A sampled node has p0 in [1e-12, 1 - 1e-12]: u = 0.0 lies below it and the
-# largest uniform SplitMix64.random returns does not, so these steer
-# measure_qubit onto bit 0 and bit 1.
-_STEER = (_Steer(0.0), _Steer(1.0 - _UNIT))
-
-
 class _Level(NamedTuple):
     """One measurement step of an outcome tree; node i is the path's bits so far."""
 
     states: list  # (2**step,) PureState, or None where no path leads
-    p0: np.ndarray  # (2**step,) float64: 1 - p1, the threshold u < p0 picks bit 0 by
-    born: np.ndarray  # (2**step,) bool: neither branch below DEGENERATE_BRANCH
+    p0: np.ndarray  # (2**step,) float64: where born, the threshold u < p0 picks bit 0 by
+    born: np.ndarray  # (2**step,) bool: both branches possible, so a draw decides
     forced: np.ndarray  # (2**step,) bool: the bit of a node that is not born
 
 
 def _outcome_tree(state: qsim.PureState, order: tuple[int, int, int]) -> list[_Level]:
-    # Every state a slot can pass through, built with the public operators;
-    # the post-states of the last measurement are never read, so not built.
+    # Every state a slot can pass through; qsim.branches gives each node's
+    # two children, None where a branch is degenerate or no path leads.
     levels = []
     states = [state]
-    for step, qubit in enumerate(order):
-        p0 = np.zeros(len(states))
-        born = np.zeros(len(states), bool)
-        forced = np.zeros(len(states), bool)
-        children = [None] * (2 * len(states))
-        for node, current in enumerate(states):
-            if current is None:
-                continue
-            p1 = qsim.measurement_probabilities(current, qubit)[1]
-            p0[node] = 1.0 - p1
-            born[node] = not (p1 < qsim.DEGENERATE_BRANCH or p0[node] < qsim.DEGENERATE_BRANCH)
-            forced[node] = p1 >= qsim.DEGENERATE_BRANCH
-            if step < len(order) - 1:
-                for bit in (0, 1) if born[node] else (int(forced[node]),):
-                    outcome = qsim.measure_qubit(current, qubit, _STEER[bit])
-                    children[2 * node + bit] = outcome.post_state
-        levels.append(_Level(states, p0, born, forced))
-        states = children
+    for qubit in order:
+        pairs = [qsim.branches(node, qubit) if node else (None, None) for node in states]
+        possible = np.array([[out is not None for out in pair] for pair in pairs])
+        p0 = np.array([zero.probability if zero else 0.0 for zero, _ in pairs])
+        levels.append(_Level(states, p0, possible.all(axis=1), possible[:, 1]))
+        states = [None if out is None else out.post_state for pair in pairs for out in pair]
     return levels
 
 

@@ -53,8 +53,9 @@ import numpy as np
 
 from . import qsim
 # perfbench/tracing.py counts protocol's measurements at StateRegistry.measure
-# and patches qsim.measure_qubit to count the attacks'; binding the operators
-# by name keeps it from counting protocol's twice.
+# and also patches qsim.measure_qubit, which the attacks do not call (they
+# read qsim.branches); binding the operators by name keeps it from counting
+# protocol's twice.
 from .qsim import DEGENERATE_BRANCH, PureState, apply_y_rotation, measure_qubit
 from .seeding import _MASK64, SplitMix64, randrange, stream_draws, uniforms
 
@@ -275,8 +276,8 @@ def _issuer_names(k: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=32)
 def _shared_state(k: int) -> PureState:
-    # States are never mutated in place (every gate/measurement builds a new
-    # PureState), so one immutable instance can seed every pair slot.
+    # Amplitudes are read-only (every gate/measurement builds a new
+    # PureState), so one instance, with its cached branches, seeds every slot.
     return qsim.prepare_bell() if k == 2 else qsim.prepare_ghz(k)
 
 

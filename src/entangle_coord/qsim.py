@@ -5,14 +5,18 @@ three qubits basis index 3 is |011> (qubit 0 = 0, qubit 1 = 1, qubit 2 = 1).
 All measurement is projective in the shared computational basis; collapse
 renormalizes the surviving branch by the square root of its probability.
 
-States are kept as explicit complex128 vectors of length 2**num_qubits.
-Rotation and measurement have one loop kernel each for every register size:
-they walk the basis indices in Python, and the Born probability p1 of a qubit
-is summed over the indices where it is set in ascending basis-index order.
-Each of them therefore costs O(2**n) Python steps.  Command-line runs go
-through `protocol.run_batch` instead, which keeps only the two nonzero
-amplitudes of each Bell or GHZ register and still reproduces these
-operators' p1 bit for bit (see that module's docstring).
+States are kept as explicit complex128 vectors of length 2**num_qubits,
+read-only once built: every operator returns a new state.  Rotation and
+measurement see the vector as a (2**q, 2, 2**(n-q-1)) array, whose [:, 0]
+and [:, 1] halves are the basis indices with qubit q clear and set, each in
+ascending index order.  The Born probability p1 is a `cumsum` of |a|**2 over
+the set half, a sequential sum in ascending basis-index order.  `branches`
+computes both outcomes of measuring a qubit, and a state of up to
+BRANCH_CACHE_QUBITS qubits keeps them (down to BRANCH_CACHE_DEPTH
+collapses), so measuring the same state again costs one lookup.
+Command-line runs go through `protocol.run_batch` instead, which keeps only
+the two nonzero amplitudes of each Bell or GHZ register and still
+reproduces these operators' p1 bit for bit (see that module's docstring).
 """
 
 from __future__ import annotations
@@ -33,6 +37,15 @@ NORM_TOL = 1e-10            # |sum(|amp|^2) - 1| must stay below this
 PRODUCT_PURITY_TOL = 1e-9   # purity within this of 1 counts as a product state
 DEGENERATE_BRANCH = 1e-12   # branches below this probability are never sampled
 
+#: States of at most this many qubits keep the outcomes `branches` computes;
+#: above it, two post-states of up to 16 MB each are not worth pinning.
+BRANCH_CACHE_QUBITS = 10
+#: Post-states this many successive collapses below a state that any other
+#: operation built keep nothing, so the outcomes kept below any state form
+#: a tree at most two measurements deep (2n + 4n**2 states), however many
+#: orders of measurement a long-lived state sees.
+BRANCH_CACHE_DEPTH = 2
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -40,7 +53,7 @@ _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 class PureState:
     """Normalized amplitude vector over the computational basis."""
 
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("num_qubits", "amplitudes", "_collapses", "_branches")
 
     def __init__(self, num_qubits: int, amplitudes: Sequence[Amplitude]) -> None:
         if num_qubits < 1:
@@ -59,17 +72,24 @@ class PureState:
         norm_sq = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"squared norm {norm_sq!r} differs from 1 beyond {NORM_TOL}")
-        self.num_qubits = num_qubits
-        self.amplitudes = amps
+        self._fill(num_qubits, amps)
 
     @classmethod
-    def _trusted(cls, num_qubits: int, amps: np.ndarray) -> "PureState":
+    def _trusted(cls, num_qubits: int, amps: np.ndarray, collapses: int = 0) -> "PureState":
         # Fast path for operator results: `amps` is a fresh, already
         # normalized complex128 vector that no caller aliases.
         state = object.__new__(cls)
-        state.num_qubits = num_qubits
-        state.amplitudes = amps
+        state._fill(num_qubits, amps, collapses)
         return state
+
+    def _fill(self, num_qubits: int, amps: np.ndarray, collapses: int = 0) -> None:
+        # Read-only amplitudes are what keep the `branches` cache valid.
+        amps.flags.writeable = False
+        self.num_qubits = num_qubits
+        self.amplitudes = amps
+        self._collapses = collapses
+        keep = num_qubits <= BRANCH_CACHE_QUBITS and collapses < BRANCH_CACHE_DEPTH
+        self._branches = {} if keep else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PureState(num_qubits={self.num_qubits})"
@@ -95,24 +115,16 @@ def _check_qubit(num_qubits: int, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit register")
 
 
-@lru_cache(maxsize=None)
-def _index_split(num_qubits: int, qubit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Basis indices with `qubit` clear / set, each ascending, so that the
-    # k-th entries of the two tuples differ only in `qubit`.
-    shift = num_qubits - 1 - qubit
-    zeros, ones = [], []
-    for i in range(1 << num_qubits):
-        (ones if (i >> shift) & 1 else zeros).append(i)
-    return tuple(zeros), tuple(ones)
+def _halves(state: PureState, qubit: int) -> np.ndarray:
+    # (2**q, 2, 2**(n-q-1)) view: [:, 0] holds the indices with `qubit`
+    # clear, [:, 1] those with it set, each in ascending index order.
+    _check_qubit(state.num_qubits, qubit)
+    return state.amplitudes.reshape(1 << qubit, 2, -1)
 
 
-def _branch_weight(amps: list, indices: tuple[int, ...]) -> float:
-    # Sum of |amp|^2 over `indices`, accumulated in their (ascending) order.
-    weight = 0.0
-    for i in indices:
-        a = amps[i]
-        weight += a.real * a.real + a.imag * a.imag
-    return weight
+def _weight(half: np.ndarray) -> float:
+    # Sum of |amp|^2 accumulated one term at a time in ascending index order.
+    return float(np.cumsum(half.real * half.real + half.imag * half.imag)[-1])
 
 
 @lru_cache(maxsize=None)
@@ -179,57 +191,67 @@ def apply_cnot(state: PureState, control: int, target: int) -> PureState:
 
 def apply_y_rotation(state: PureState, qubit: int, theta: float) -> PureState:
     """Real rotation [[cos t/2, -sin t/2], [sin t/2, cos t/2]] on one qubit."""
-    n = state.num_qubits
-    _check_qubit(n, qubit)
+    view = _halves(state, qubit)
     if not math.isfinite(theta):
         raise ValueError("rotation angle must be finite")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    amps = state.amplitudes.tolist()
-    out = [0j] * len(amps)
-    for i0, i1 in zip(*_index_split(n, qubit)):
-        a0 = amps[i0]
-        a1 = amps[i1]
-        out[i0] = c * a0 - s * a1
-        out[i1] = s * a0 + c * a1
-    return PureState._trusted(n, np.array(out, dtype=np.complex128))
+    a0, a1 = view[:, 0], view[:, 1]
+    out = np.empty_like(view)
+    out[:, 0] = c * a0 - s * a1
+    out[:, 1] = s * a0 + c * a1
+    return PureState._trusted(state.num_qubits, out.reshape(-1))
 
 
 def measurement_probabilities(state: PureState, qubit: int) -> tuple[float, float]:
     """Born probabilities (p0, p1) for one qubit in the shared basis."""
-    n = state.num_qubits
-    _check_qubit(n, qubit)
-    amps = state.amplitudes.tolist()
-    zeros, ones = _index_split(n, qubit)
-    return _branch_weight(amps, zeros), _branch_weight(amps, ones)
+    view = _halves(state, qubit)
+    return _weight(view[:, 0]), _weight(view[:, 1])
+
+
+def branches(state: PureState, qubit: int) -> tuple[Outcome | None, Outcome | None]:
+    """Both outcomes of measuring `qubit`, indexed by bit.
+
+    Bit 1 has the Born probability p1 and bit 0 has p0 = 1 - p1; each post-
+    state is its branch renormalized by the square root of that probability.
+    A branch whose probability is below DEGENERATE_BRANCH is None.  States of
+    at most BRANCH_CACHE_QUBITS qubits keep the result, except those reached
+    by BRANCH_CACHE_DEPTH collapses.
+    """
+    cache = state._branches
+    pair = None if cache is None else cache.get(qubit)
+    if pair is None:
+        view = _halves(state, qubit)
+        p1 = _weight(view[:, 1])
+        pair = tuple(
+            None if prob < DEGENERATE_BRANCH
+            else Outcome(bit, prob, _collapse(state, view, bit, prob))
+            for bit, prob in ((0, 1.0 - p1), (1, p1))
+        )
+        if cache is not None:
+            cache[qubit] = pair
+    return pair
+
+
+def _collapse(state: PureState, view: np.ndarray, bit: int, prob: float) -> PureState:
+    out = np.zeros_like(view)
+    out[:, bit] = view[:, bit] * (1.0 / math.sqrt(prob))
+    return PureState._trusted(state.num_qubits, out.reshape(-1), state._collapses + 1)
 
 
 def measure_qubit(state: PureState, qubit: int, rng) -> Outcome:
     """Sample `qubit` under the Born rule, collapse, renormalize.
 
-    A branch whose probability is below DEGENERATE_BRANCH is treated as
-    impossible and never sampled, so renormalization never divides by a
-    vanishing weight.  `rng` needs only a `random()` method returning a
-    uniform float in [0, 1).
+    Returns one of the outcomes `branches` gives, bit 0 when one uniform
+    draw is below p0.  A branch whose probability is below DEGENERATE_BRANCH
+    is treated as impossible and never sampled, and no draw is taken, so
+    renormalization never divides by a vanishing weight.  `rng` needs only a
+    `random()` method returning a uniform float in [0, 1).
     """
-    n = state.num_qubits
-    _check_qubit(n, qubit)
-    amps = state.amplitudes.tolist()
-    zeros, ones = _index_split(n, qubit)
-    p1 = _branch_weight(amps, ones)
-    p0 = 1.0 - p1
-    if p1 < DEGENERATE_BRANCH:
-        bit = 0
-    elif p0 < DEGENERATE_BRANCH:
-        bit = 1
-    else:
-        bit = 0 if rng.random() < p0 else 1
-    prob = p1 if bit else p0
-    scale = 1.0 / math.sqrt(prob)
-    out = [0j] * len(amps)
-    for i in ones if bit else zeros:
-        out[i] = amps[i] * scale
-    return Outcome(bit, prob, PureState._trusted(n, np.array(out, dtype=np.complex128)))
+    zero, one = branches(state, qubit)
+    if zero is None or one is None:
+        return zero or one
+    return zero if rng.random() < zero.probability else one
 
 
 def is_product(state: PureState, cut: tuple[Iterable[int], Iterable[int]]) -> ProductCheck:

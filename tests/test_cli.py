@@ -438,7 +438,16 @@ def test_json_outputs_validate_against_shipped_schema(argv, capsys):
     cli.validate_envelope(json.loads(out))
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
 _VALID_ARGV = st.one_of(
+    st.builds(
+        lambda bits, trials, agents, eps, theta_a, theta_b, seed: [
+            "run", "--bits", str(bits), "--trials", str(trials), "--agents", str(agents),
+            "--eps", repr(eps), f"--theta-a={theta_a!r}", f"--theta-b={theta_b!r}",
+            "--seed", str(seed)],
+        st.integers(1, 12), st.integers(1, 12), st.integers(2, 6), st.floats(0.0, 0.5),
+        _FINITE, _FINITE, st.integers(0, 2**64 - 1)),
     st.builds(
         lambda bits, eps, trials, seed: ["reconcile", "--bits", str(bits), "--eps", repr(eps),
                                          "--trials", str(trials), "--seed", str(seed)],
@@ -455,7 +464,7 @@ _VALID_ARGV = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(argv=_VALID_ARGV)
-def test_reconcile_bound_and_nicd_envelopes_match_the_schema(argv):
+def test_run_reconcile_bound_and_nicd_envelopes_match_the_schema(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

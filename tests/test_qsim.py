@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from entangle_coord import qsim
 from entangle_coord.qsim import (
+    BRANCH_CACHE_DEPTH,
+    BRANCH_CACHE_QUBITS,
+    DEGENERATE_BRANCH,
     NORM_TOL,
+    QUBIT_CAP,
     Outcome,
     PureState,
     apply_cnot,
     apply_y_rotation,
     basis_state,
+    branches,
     is_product,
     measure_qubit,
     measurement_probabilities,
@@ -424,3 +429,186 @@ def test_measure_returns_outcome_type():
     assert isinstance(out, Outcome)
     assert out.bit in (0, 1)
     assert isinstance(out.post_state, PureState)
+
+
+# ------------------------------------------- the list-loop kernels as oracle
+#
+# Each operation as a Python loop over basis indices.  The numpy kernels
+# must match them bit for bit: p1 summed one term at a time in ascending
+# index order, p0 = 1 - p1 as both the sampling threshold and the bit-0
+# renormalization weight.
+
+
+def _index_split(num_qubits, qubit):
+    # Basis indices with `qubit` clear / set, each ascending, so that the
+    # k-th entries of the two lists differ only in `qubit`.
+    shift = num_qubits - 1 - qubit
+    zeros, ones = [], []
+    for i in range(1 << num_qubits):
+        (ones if (i >> shift) & 1 else zeros).append(i)
+    return zeros, ones
+
+
+def _branch_weight(amps, indices):
+    # Sum of |amp|^2 over `indices`, accumulated in their (ascending) order.
+    weight = 0.0
+    for i in indices:
+        a = amps[i]
+        weight += a.real * a.real + a.imag * a.imag
+    return weight
+
+
+def loop_probabilities(state, qubit):
+    amps = state.amplitudes.tolist()
+    zeros, ones = _index_split(state.num_qubits, qubit)
+    return _branch_weight(amps, zeros), _branch_weight(amps, ones)
+
+
+def loop_rotation(state, qubit, theta):
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    amps = state.amplitudes.tolist()
+    out = [0j] * len(amps)
+    for i0, i1 in zip(*_index_split(state.num_qubits, qubit)):
+        a0 = amps[i0]
+        a1 = amps[i1]
+        out[i0] = c * a0 - s * a1
+        out[i1] = s * a0 + c * a1
+    return np.array(out, dtype=np.complex128)
+
+
+def loop_measure(state, qubit, u):
+    amps = state.amplitudes.tolist()
+    zeros, ones = _index_split(state.num_qubits, qubit)
+    p1 = _branch_weight(amps, ones)
+    p0 = 1.0 - p1
+    if p1 < DEGENERATE_BRANCH:
+        bit = 0
+    elif p0 < DEGENERATE_BRANCH:
+        bit = 1
+    else:
+        bit = 0 if u < p0 else 1
+    prob = p1 if bit else p0
+    scale = 1.0 / math.sqrt(prob)
+    out = [0j] * len(amps)
+    for i in ones if bit else zeros:
+        out[i] = amps[i] * scale
+    return bit, prob, np.array(out, dtype=np.complex128)
+
+
+_PINNED_WEIGHTS = [DEGENERATE_BRANCH * f for f in (0.999, 1.0, 1.001)]
+
+
+@st.composite
+def _oracle_cases(draw):
+    n = draw(st.integers(1, 8))
+    qubit = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    v[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    weight = draw(st.none() | st.sampled_from(
+        _PINNED_WEIGHTS + [1.0 - w for w in _PINNED_WEIGHTS]))
+    halves = v.reshape(1 << qubit, 2, -1)
+    if weight is not None:
+        # pin the set branch's weight next to the degeneracy threshold
+        for bit, target in ((0, 1.0 - weight), (1, weight)):
+            if not halves[:, bit].any():
+                halves[0, bit, 0] = 1.0
+            halves[:, bit] *= math.sqrt(target) / np.linalg.norm(halves[:, bit])
+    elif not v.any():
+        v[0] = 1.0
+    theta = draw(st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi])
+                 | st.floats(-7.0, 7.0, exclude_min=True, exclude_max=True))
+    u = draw(st.sampled_from([0.0, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0, exclude_max=True))
+    return PureState(n, v / np.linalg.norm(v)), qubit, theta, u
+
+
+def _same_outcome(out, expected):
+    bit, prob, amps = expected
+    return (out.bit, out.probability, out.post_state.amplitudes.tobytes()) == (
+        bit, prob, amps.tobytes())
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_oracle_cases())
+def test_numpy_kernels_equal_the_loop_kernels_bit_for_bit(case):
+    state, qubit, theta, u = case
+    rotated = apply_y_rotation(state, qubit, theta)
+    assert rotated.amplitudes.tobytes() == loop_rotation(state, qubit, theta).tobytes()
+    for current in (state, rotated):
+        assert measurement_probabilities(current, qubit) == loop_probabilities(current, qubit)
+        out = measure_qubit(current, qubit, FixedRng(u))
+        assert _same_outcome(out, loop_measure(current, qubit, u))
+
+
+def test_widest_register_probabilities_equal_the_loop_kernel():
+    state = prepare_ghz(QUBIT_CAP)
+    assert measurement_probabilities(state, QUBIT_CAP // 2) == loop_probabilities(
+        state, QUBIT_CAP // 2)
+
+
+# -------------------------------------------------- read-only, cached branches
+
+@pytest.mark.parametrize("make", [
+    lambda: PureState(1, [INV_SQRT2, INV_SQRT2]),
+    prepare_bell,
+    lambda: prepare_ghz(4),
+    prepare_w,
+    prepare_biseparable,
+    lambda: basis_state(2, 1),
+    lambda: apply_y_rotation(prepare_bell(), 0, 0.3),
+    lambda: apply_cnot(prepare_ghz(3), 0, 2),
+    lambda: tensor_product(prepare_bell(), basis_state(1, 0)),
+    lambda: measure_qubit(prepare_w(), 0, FixedRng(0.5)).post_state,
+])
+def test_amplitudes_are_read_only(make):
+    state = make()
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
+
+
+def test_branches_are_kept_up_to_the_cache_cap():
+    state = prepare_ghz(BRANCH_CACHE_QUBITS)
+    first, second = branches(state, 1), branches(state, 1)
+    assert all(a.post_state is b.post_state for a, b in zip(first, second))
+    assert measure_qubit(state, 1, FixedRng(0.9)) is first[1]
+
+
+def test_branches_of_the_widest_register_are_not_kept():
+    state = prepare_ghz(QUBIT_CAP)
+    first, second = branches(state, 0), branches(state, 0)
+    assert not any(a.post_state is b.post_state for a, b in zip(first, second))
+    assert all(a.post_state.amplitudes.tobytes() == b.post_state.amplitudes.tobytes()
+               for a, b in zip(first, second))
+
+
+def test_outcomes_are_kept_two_collapses_deep():
+    # a long-lived state measured in many orders must not grow a deep tree
+    state = prepare_ghz(4)
+    depth = [state]
+    for qubit in range(BRANCH_CACHE_DEPTH):
+        depth.append(branches(depth[-1], qubit)[0].post_state)
+    for qubit, current in enumerate(depth[:-1]):
+        assert branches(current, qubit)[0] is branches(current, qubit)[0]
+    deepest = depth[-1]
+    assert branches(deepest, 3)[0] is not branches(deepest, 3)[0]
+    # any other operator starts a new tree
+    rotated = apply_y_rotation(deepest, 3, 0.5)
+    assert branches(rotated, 3)[0] is branches(rotated, 3)[0]
+
+
+def test_degenerate_branch_is_none():
+    zero, one = branches(prepare_biseparable(), 0)
+    assert zero is None
+    assert one.bit == 1
+
+
+@pytest.mark.parametrize("qubit", [-1, 3])
+def test_out_of_range_qubit_raises_alike_on_every_call(qubit):
+    state = prepare_w()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            branches(state, qubit)
+        messages.append(str(info.value))
+    assert messages == [f"qubit {qubit} out of range for 3-qubit register"] * 2
