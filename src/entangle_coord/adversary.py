@@ -31,12 +31,14 @@ Every slot walks one path through the same outcome tree (at most 1 + 2 + 4
 states), so each call builds that tree once from `qsim.branches`, which
 gives every node's two children and the p0 a draw is compared with, and
 then computes every draw from its (trial seed, stream position) pair,
-vectorised over trials.
+vectorised over trials.  The bits land in one (3, trials, n_bits) uint8
+array, and every count behind a report's rates (matching strings, joint
+outcomes, Eve's zeros, Wolf's matches) is taken from that array; the bit
+strings are built once, for the transcripts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,7 +85,7 @@ class AttackReport:
         for series in (self.alice_bits, self.bob_bits, attacker):
             if series is None or len(series) != self.trials:
                 raise ValueError("per-trial series must have one entry per trial")
-            if any(len(s) != self.n_bits for s in series):
+            if not all(map(self.n_bits.__eq__, map(len, series))):
                 raise ValueError("bit strings must have length n_bits")
 
     def to_dict(self) -> dict:
@@ -133,12 +135,13 @@ def _three_holder_attack(
     n_bits: int,
     trials: int,
     seed: int,
-) -> tuple[tuple[tuple[str, ...], ...], dict[int, tuple[qsim.PureState, int]]]:
+) -> tuple[tuple[tuple[str, ...], ...], dict[int, tuple[qsim.PureState, int]], np.ndarray]:
     """Measure a fresh copy of `state` in `order` for every slot of every trial.
 
-    Returns the per-trial bit strings of qubits 0, 1 and 2, and, for each
+    Returns the per-trial bit strings of qubits 0, 1 and 2; for each
     possible outcome of the first measurement, the state it leaves and how
-    many slots saw it.  Trial t reads the stream of derive_seed(seed, t).
+    many slots saw it; and the same bits as a (3, trials, n_bits) uint8
+    array indexed by qubit.  Trial t reads the stream of derive_seed(seed, t).
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -167,32 +170,42 @@ def _three_holder_attack(
     counts = (n_bits * trials - ones, ones)
     first = {bit: (post, counts[bit]) for bit, post in enumerate(levels[1].states)
              if post is not None}
-    return tuple(tuple(bit_strings(qubit_bits)) for qubit_bits in bits), first
+    return tuple(tuple(bit_strings(qubit_bits)) for qubit_bits in bits), first, bits
 
 
-def _slots(*series: tuple[str, ...]) -> list[str]:
-    # The listed holders' bits of every slot, trial by trial in slot order.
-    return ["".join(bits) for bits in zip(*("".join(rows) for rows in series))]
+def _joint_counts(*holders: np.ndarray) -> list[int]:
+    # How many slots saw each joint outcome of the listed holders' bits,
+    # indexed by those bits read as a binary number, first holder highest.
+    code = np.zeros(holders[0].shape, np.uint8)
+    for bits in holders:
+        code = 2 * code + bits
+    return np.bincount(code.ravel(), minlength=1 << len(holders)).tolist()
+
+
+def _same_strings(x: np.ndarray, y: np.ndarray) -> int:
+    # trials whose (trials, n_bits) rows agree in every slot
+    return int(np.count_nonzero((x == y).all(axis=1)))
 
 
 def _report(
     kind: str,
-    n_bits: int,
-    attacker: tuple[str, ...],
-    alice: tuple[str, ...],
-    bob: tuple[str, ...],
+    strings: tuple[tuple[str, ...], ...],
+    bits,
     conditional_stats: dict,
     attacker_field: str = "eve_bits",
 ) -> AttackReport:
-    trials = len(alice)
+    # `strings` and `bits` list the attacker, Alice and Bob in that order.
+    attacker, alice, bob = strings
+    x, a, b = bits
+    trials, n_bits = a.shape
     return AttackReport(
         kind=kind,
         n_bits=n_bits,
         trials=trials,
         alice_bits=alice,
         bob_bits=bob,
-        eavesdrop_success_rate=sum(x == a for x, a in zip(attacker, alice)) / trials,
-        agreement_rate=sum(a == b for a, b in zip(alice, bob)) / trials,
+        eavesdrop_success_rate=_same_strings(x, a) / trials,
+        agreement_rate=_same_strings(a, b) / trials,
         conditional_stats=conditional_stats,
         **{attacker_field: attacker},
     )
@@ -210,14 +223,14 @@ def eve_ghz_attack(n_bits: int, trials: int, eve_first: bool, seed: int) -> Atta
     # each remaining holder must be left in a product with the other two
     # qubits, even though the remaining bits stay correlated
     cuts = [((q,), tuple(p for p in range(3) if p != q)) for q in order[1:]]
-    (eve, alice, bob), first = _three_holder_attack(
+    strings, first, bits = _three_holder_attack(
         qsim.prepare_ghz(3), order, n_bits, trials, seed)
     # one verdict per state the first measurement leaves, weighted by its slots
     separable = sum(
         slots for state, slots in first.values()
         if slots and all(qsim.is_product(state, cut).separable for cut in cuts)
     )
-    return _report(GHZ_ATTACK, n_bits, eve, alice, bob, {
+    return _report(GHZ_ATTACK, strings, bits, {
         "eve_first": bool(eve_first),
         "remainder_separable_rate": separable / (n_bits * trials),
     })
@@ -231,17 +244,17 @@ def eve_w_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     anti-correlated pair and always disagree), so the channel degrades into
     denial of service rather than eavesdropping.
     """
-    (eve, alice, bob), _ = _three_holder_attack(
+    strings, _, bits = _three_holder_attack(
         qsim.prepare_w(), (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
-    joint = Counter(_slots(eve, alice, bob))
-    eve_zero = "".join(eve).count("0")
+    joint = _joint_counts(*bits)  # index 0b(eve alice bob)
+    eve_zero = sum(joint[:4])
     eve_one = slots - eve_zero
-    return _report(W_ATTACK, n_bits, eve, alice, bob, {
+    return _report(W_ATTACK, strings, bits, {
         "eve_zero_rate": eve_zero / slots,
-        "both_one_given_eve_zero": joint["011"] / eve_zero if eve_zero else 0.0,
+        "both_one_given_eve_zero": joint[0b011] / eve_zero if eve_zero else 0.0,
         "disagree_given_eve_one": (
-            (joint["101"] + joint["110"]) / eve_one if eve_one else 0.0
+            (joint[0b101] + joint[0b110]) / eve_one if eve_one else 0.0
         ),
     })
 
@@ -253,15 +266,15 @@ def biseparable_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     correlation with the action number — and the residual anti-correlated
     pair breaks Alice-Bob agreement outright.
     """
-    (eve, alice, bob), _ = _three_holder_attack(
+    strings, _, bits = _three_holder_attack(
         qsim.prepare_biseparable(), (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
-    joint = Counter(_slots(alice, bob))
-    eve_flat = [int(c) for c in "".join(eve)]
-    return _report(BISEPARABLE_ATTACK, n_bits, eve, alice, bob, {
-        "eve_one_rate": sum(eve_flat) / slots,
-        "alice_bob_joint": {k: joint[k] / slots for k in ("00", "01", "10", "11")},
-        "correlation_eve_alice": _pearson(eve_flat, [int(c) for c in "".join(alice)]),
+    eve, alice, bob = bits
+    joint = _joint_counts(alice, bob)
+    return _report(BISEPARABLE_ATTACK, strings, bits, {
+        "eve_one_rate": int(np.count_nonzero(eve)) / slots,
+        "alice_bob_joint": {f"{k:02b}": count / slots for k, count in enumerate(joint)},
+        "correlation_eve_alice": _pearson(eve.ravel().tolist(), alice.ravel().tolist()),
     })
 
 
@@ -295,10 +308,11 @@ def wolf_cnot_attack(n_bits: int, trials: int, target_bit: int, seed: int) -> At
     Alice and Bob still agree perfectly; with |1> he reads the complement.
     """
     triple = build_wolf_triple(target_bit)
-    (alice, bob, wolf), _ = _three_holder_attack(triple, (0, 1, 2), n_bits, trials, seed)
+    (alice, bob, wolf), _, bits = _three_holder_attack(
+        triple, (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
-    matches = sum(w == a for w, a in zip("".join(wolf), "".join(alice)))
-    return _report(WOLF_CNOT_ATTACK, n_bits, wolf, alice, bob, {
+    matches = int(np.count_nonzero(bits[2] == bits[0]))
+    return _report(WOLF_CNOT_ATTACK, (wolf, alice, bob), (bits[2], bits[0], bits[1]), {
         "target_bit": target_bit,
         "ghz_fidelity": qsim.state_fidelity(triple, qsim.prepare_ghz(3)),
         "wolf_matches_alice_rate": matches / slots,

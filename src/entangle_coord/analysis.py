@@ -205,26 +205,21 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
         for a in range(size):
             for b in range(size):
                 u[a, b] = weights[dist[a][b]]
-        tables = [t for t in range(1 << size) if t.bit_count() == half]
-        signs = np.empty((len(tables), size))
-        for row, t in enumerate(tables):
-            for a in range(size):
-                signs[row, a] = -1.0 if (t >> a) & 1 else 1.0
+        every = np.arange(1 << size, dtype=np.uint32)
+        ones = np.zeros(1 << size, np.uint32)
+        for a in range(size):
+            ones += (every >> a) & 1
+        tables = every[ones == half]  # the balanced truth tables, ascending
+        # signs[row, a] = (-1)^f(a) for f = tables[row]
+        signs = 1.0 - 2.0 * ((tables[:, None] >> np.arange(size, dtype=np.uint32)) & 1)
         w = signs @ u  # w[row, b] = E[(-1)^f(a) ; b]
-        scores = np.abs(w).sum(axis=1)
+        negative = w < 0.0
+        scores = np.abs(w, out=w).sum(axis=1)
         best_row = int(np.argmax(scores))
         best = float(scores[best_row])
         # the best response g takes the majority sign of each column
-        score_of = {t: float(scores[i]) for i, t in enumerate(tables)}
-
-        def response(row: int) -> int:
-            g_table = 0
-            for b in range(size):
-                if w[row, b] < 0.0:
-                    g_table |= 1 << b
-            return g_table
-
-        best_pair = (tables[best_row], response(best_row))
+        g_table = sum(1 << b for b in np.flatnonzero(negative[best_row]).tolist())
+        best_pair = (int(tables[best_row]), g_table)
         search_size = 1 << size
 
     # prefer reporting a dictator pair whenever one ties the maximum
@@ -234,7 +229,7 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
         if m <= 3:
             corr = _pair_correlation(m, table, table, weights, dist)
         else:
-            corr = score_of[table]
+            corr = float(scores[np.searchsorted(tables, table)])
         if abs(corr - best) <= 1e-12:
             best = corr
             best_pair = (table, table)

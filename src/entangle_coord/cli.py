@@ -2,8 +2,10 @@
 
 Output contract: a single JSON envelope (or, with --format csv, the primary
 table flattened to CSV) on standard output; diagnostics on standard error
-only.  Identical invocations produce byte-identical output — the envelope
-carries no timestamps and every map is built in a fixed key order.  Exit
+only.  The JSON text is json.dumps(envelope, indent=2) plus a newline,
+written in blocks as it is built.  Identical invocations produce
+byte-identical output — the envelope carries no timestamps and every map is
+built in a fixed key order.  Exit
 codes: 0 success, 2 argument error, 1 internal invariant violation.
 
 The master seed comes from --seed, else from the ENTANGLE_COORD_SEED
@@ -22,6 +24,7 @@ import math
 import os
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .adversary import (
@@ -274,16 +277,77 @@ _CSV_BUILDERS = {
 }
 
 
-def render(envelope: dict, fmt: str) -> str:
-    """The exact text a command prints: JSON envelope or flattened CSV."""
+#: The JSON text goes to the output in writes of about this many characters.
+RENDER_BLOCK = 1 << 16
+#: A list of strings is escaped this many items to a piece.
+_STRING_RUN = 1 << 10
+
+
+def _json_pieces(value, indent: str):
+    # The text of json.dumps(value, indent=2) piece by piece, for a value
+    # that starts on a line indented by `indent`.
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = indent + "  "
+        opening = "{\n" + inner
+        for key, item in value.items():
+            yield opening + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(item, inner)
+            opening = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = indent + "  "
+        separator = ",\n" + inner
+        yield "[\n" + inner
+        if set(map(type, value)) == {str}:  # per-trial transcripts: escaped in C
+            for start in range(0, len(value), _STRING_RUN):
+                if start:
+                    yield separator
+                yield separator.join(
+                    map(encode_basestring_ascii, value[start : start + _STRING_RUN]))
+        else:
+            for index, item in enumerate(value):
+                if index:
+                    yield separator
+                yield from _json_pieces(item, inner)
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(value)
+
+
+def render(envelope: dict, fmt: str, out) -> None:
+    """Write the exact text a command prints to `out`: JSON envelope or flattened CSV.
+
+    The JSON text is json.dumps(envelope, indent=2) plus a newline, built
+    piece by piece and written in blocks of about RENDER_BLOCK characters,
+    so it is never held whole.
+    """
     if fmt == "json":
-        return json.dumps(envelope, indent=2) + "\n"
+        block: list[str] = []
+        size = 0
+        for piece in _json_pieces(envelope, ""):
+            block.append(piece)
+            size += len(piece)
+            if size >= RENDER_BLOCK:
+                out.write("".join(block))
+                block.clear()
+                size = 0
+        block.append("\n")
+        out.write("".join(block))
+        return
     header, rows = _CSV_BUILDERS[envelope["command"]](envelope)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
+    out.write(buffer.getvalue())
 
 
 # ------------------------------------------------------------------ parser
@@ -399,7 +463,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # anything else is an internal invariant failure
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
-    sys.stdout.write(render(envelope, args.format))
+    render(envelope, args.format, sys.stdout)
     return 0
 
 

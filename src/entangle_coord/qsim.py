@@ -83,10 +83,16 @@ class PureState:
         return state
 
     def _fill(self, num_qubits: int, amps: np.ndarray, collapses: int = 0) -> None:
-        # Read-only amplitudes are what keep the `branches` cache valid.
-        amps.flags.writeable = False
+        # Read-only amplitudes are what keep the `branches` cache valid.  Every
+        # array down to the one that owns the memory is made read-only and
+        # only a view is exposed: numpy refuses to make a view writeable again
+        # while its base is not, but lets an owner be made writeable.
+        array = amps
+        while isinstance(array, np.ndarray):
+            array.flags.writeable = False
+            array = array.base
         self.num_qubits = num_qubits
-        self.amplitudes = amps
+        self.amplitudes = amps.view()
         self._collapses = collapses
         keep = num_qubits <= BRANCH_CACHE_QUBITS and collapses < BRANCH_CACHE_DEPTH
         self._branches = {} if keep else None

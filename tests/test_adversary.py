@@ -1,5 +1,6 @@
 """Attack-scenario statistics, exact certainties, and cross-oracle checks."""
 
+import io
 import json
 import math
 from collections import Counter
@@ -24,6 +25,7 @@ from entangle_coord.adversary import (
     eve_w_attack,
     wolf_cnot_attack,
 )
+from entangle_coord.protocol import bit_strings
 from entangle_coord.seeding import GAMMA, SplitMix64, derive_seed
 
 
@@ -281,6 +283,39 @@ def _xor_bits(bits, bit):
     return bits if bit == 0 else bits.translate(str.maketrans("01", "10"))
 
 
+def counts_from_strings(report):
+    """A report's count-based fields recomputed from its bit strings.
+
+    The reference for the counts the attacks take from their bit array:
+    the same float formulas over counts made on the transcripts.
+    """
+    attacker = report.eve_bits if report.eve_bits is not None else report.wolf_bits
+    alice, bob = report.alice_bits, report.bob_bits
+    slots = report.n_bits * report.trials
+    fields = {
+        "eavesdrop_success_rate": sum(x == a for x, a in zip(attacker, alice)) / report.trials,
+        "agreement_rate": sum(a == b for a, b in zip(alice, bob)) / report.trials,
+    }
+    x, a, b = ("".join(series) for series in (attacker, alice, bob))
+    if report.kind == W_ATTACK:
+        joint = Counter(map("".join, zip(x, a, b)))
+        eve_zero = x.count("0")
+        eve_one = slots - eve_zero
+        fields["eve_zero_rate"] = eve_zero / slots
+        fields["both_one_given_eve_zero"] = joint["011"] / eve_zero if eve_zero else 0.0
+        fields["disagree_given_eve_one"] = (
+            (joint["101"] + joint["110"]) / eve_one if eve_one else 0.0)
+    elif report.kind == BISEPARABLE_ATTACK:
+        joint = Counter(map("".join, zip(a, b)))
+        fields["eve_one_rate"] = x.count("1") / slots
+        fields["alice_bob_joint"] = {k: joint[k] / slots for k in ("00", "01", "10", "11")}
+    elif report.kind == WOLF_CNOT_ATTACK:
+        matches = sum(w == y for w, y in zip(x, a))
+        fields["wolf_matches_alice_rate"] = matches / slots
+        fields["wolf_complements_alice_rate"] = (slots - matches) / slots
+    return fields
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(["ghz", "w", "biseparable", "wolf"]),
@@ -315,10 +350,16 @@ def test_attack_exact_invariants_hold_for_every_input(
         assert report.wolf_bits == tuple(_xor_bits(a, target_bit) for a in report.alice_bits)
         assert report.agreement_rate == 1.0
     assert (report.n_bits, report.trials) == (n_bits, trials)
+    expected = counts_from_strings(report)
+    reported = {"eavesdrop_success_rate": report.eavesdrop_success_rate,
+                "agreement_rate": report.agreement_rate, **report.conditional_stats}
+    assert {name: reported[name] for name in expected} == expected
 
     args = cli.build_parser().parse_args(
         _attack_argv(kind, n_bits, trials, eve_first, target_bit, seed))
-    envelope = json.loads(cli.render(args.handler(args), "json"))
+    text = io.StringIO()
+    cli.render(args.handler(args), "json", text)
+    envelope = json.loads(text.getvalue())
     cli.validate_envelope(envelope)
     assert envelope["results"] == json.loads(json.dumps(report.to_dict()))
 
@@ -412,8 +453,9 @@ def _assert_batch_matches_reference(state, order, n_bits, trials, seed):
         first_states.setdefault(bit, set()).add(post.amplitudes.tobytes())
 
     expected = scalar_three_holder_attack(state, order, n_bits, trials, seed, record)
-    strings, first = _three_holder_attack(state, order, n_bits, trials, seed)
+    strings, first, bits = _three_holder_attack(state, order, n_bits, trials, seed)
     assert strings == expected
+    assert tuple(tuple(bit_strings(qubit_bits)) for qubit_bits in bits) == expected
     assert {bit: slots for bit, (_, slots) in first.items() if slots} == dict(first_seen)
     for bit, amplitudes in first_states.items():
         assert amplitudes == {first[bit][0].amplitudes.tobytes()}

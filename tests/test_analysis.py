@@ -12,6 +12,10 @@ from entangle_coord.analysis import (
     BoundRow,
     NicdResult,
     ReconcileReport,
+    _describe_dictator,
+    _dictator_table,
+    _distance_table,
+    _noise_weights,
     binary_entropy,
     bound_table,
     nicd_max_correlation,
@@ -159,6 +163,52 @@ def test_nicd_matches_direct_summation_oracle(m, eps):
     assert result.max_correlation == oracle_max  # bit-for-bit
     ach = result.achiever
     assert _oracle_pair_score(m, ach["f_table"], ach["g_table"], eps) == oracle_max
+
+
+def loop_nicd_m4(eps):
+    """The m = 4 best-response search one element at a time: the reference.
+
+    Same weights, the same `signs @ u` product and the same dictator
+    preference as nicd_max_correlation, so every float must match it exactly.
+    """
+    m, size, half = 4, 16, 8
+    weights = _noise_weights(m, eps)
+    dist = _distance_table(m)
+    u = np.empty((size, size))
+    for a in range(size):
+        for b in range(size):
+            u[a, b] = weights[dist[a][b]]
+    tables = [t for t in range(1 << size) if t.bit_count() == half]
+    signs = np.empty((len(tables), size))
+    for row, t in enumerate(tables):
+        for a in range(size):
+            signs[row, a] = -1.0 if (t >> a) & 1 else 1.0
+    w = signs @ u
+    scores = np.abs(w).sum(axis=1)
+    best_row = int(np.argmax(scores))
+    best = float(scores[best_row])
+    score_of = {t: float(scores[i]) for i, t in enumerate(tables)}
+    g_table = 0
+    for b in range(size):
+        if w[best_row, b] < 0.0:
+            g_table |= 1 << b
+    achiever = {"f_table": tables[best_row], "g_table": g_table,
+                "description": "exhaustive search maximum (no dictator tie)"}
+    for position in range(m):
+        table = _dictator_table(m, position)
+        if abs(score_of[table] - best) <= 1e-12:
+            best = score_of[table]
+            achiever = {"f_table": table, "g_table": table,
+                        "description": _describe_dictator(position)}
+            break
+    return {"m": m, "eps": eps, "max_agreement": (1.0 + best) / 2.0,
+            "max_correlation": best, "achiever": achiever, "search_size": 1 << size}
+
+
+@settings(max_examples=25, deadline=None)
+@given(eps=st.floats(0.0, 0.5) | st.sampled_from([0.0, 0.5, 5e-324, 0.1]))
+def test_nicd_m4_matches_the_loop_reference(eps):
+    assert nicd_max_correlation(4, eps).to_dict() == loop_nicd_m4(eps)
 
 
 def test_nicd_frozen_values():

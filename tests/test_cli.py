@@ -5,7 +5,9 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -499,3 +501,62 @@ def test_subprocess_invocation_matches_in_process(capsys):
     assert proc.returncode == 0
     assert proc.stdout == expected
     cli.validate_envelope(json.loads(proc.stdout))
+
+
+# ----------------------------------------------------------------- renderer
+
+# strings with non-ASCII, quote, backslash and control characters, and a lone
+# surrogate, which the ASCII escaper writes as \ud800
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t\r", "é€😀", "\ud800"])
+_SCALARS = (
+    st.none() | st.booleans() | _TEXT
+    | st.integers() | st.sampled_from([2**63, 2**64 + 5, -(2**63) - 1, 10**30])
+    | st.floats() | st.sampled_from([-0.0, 5e-324, 1e308])
+)
+_ENVELOPE_SHAPED = st.dictionaries(_TEXT, st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=5)
+        | st.lists(_TEXT, max_size=12) | st.lists(_TEXT, max_size=12).map(tuple)
+    ),
+    max_leaves=40,
+), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(envelope=_ENVELOPE_SHAPED, run=st.integers(1, 4), block=st.integers(1, 80))
+def test_render_writes_exactly_what_json_dumps_gives(envelope, run, block):
+    # short string runs and blocks put their boundaries inside small trees
+    out = io.StringIO()
+    with mock.patch.object(cli, "_STRING_RUN", run), mock.patch.object(cli, "RENDER_BLOCK", block):
+        cli.render(envelope, "json", out)
+    assert out.getvalue() == json.dumps(envelope, indent=2) + "\n"
+
+
+class _CharCounter:
+    """A text sink that keeps nothing but the number of characters written."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+def test_render_never_holds_the_whole_text():
+    args = cli.build_parser().parse_args(["attack", "w", "--bits", "2", "--trials", "20000"])
+    envelope = args.handler(args)
+    sink = _CharCounter()
+    tracemalloc.start()
+    try:
+        cli.render(envelope, "json", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = json.dumps(envelope, indent=2) + "\n"
+    assert sink.chars == len(expected)
+    assert peak < 2 * sink.chars
+    out = io.StringIO()
+    cli.render(envelope, "json", out)
+    assert out.getvalue() == expected

@@ -551,6 +551,7 @@ def test_widest_register_probabilities_equal_the_loop_kernel():
 
 @pytest.mark.parametrize("make", [
     lambda: PureState(1, [INV_SQRT2, INV_SQRT2]),
+    lambda: PureState(2, np.array([0.5, 0.5, 0.5, 0.5])),
     prepare_bell,
     lambda: prepare_ghz(4),
     prepare_w,
@@ -560,9 +561,17 @@ def test_widest_register_probabilities_equal_the_loop_kernel():
     lambda: apply_cnot(prepare_ghz(3), 0, 2),
     lambda: tensor_product(prepare_bell(), basis_state(1, 0)),
     lambda: measure_qubit(prepare_w(), 0, FixedRng(0.5)).post_state,
+    lambda: branches(prepare_w(), 0)[0].post_state,
+    lambda: branches(apply_y_rotation(prepare_ghz(3), 1, 0.7), 2)[1].post_state,
 ])
 def test_amplitudes_are_read_only(make):
     state = make()
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
+    # the flag cannot be set back either, which would let a write stale the
+    # outcomes `branches` keeps for the state
+    with pytest.raises(ValueError):
+        state.amplitudes.flags.writeable = True
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
 
