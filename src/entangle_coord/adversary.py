@@ -33,8 +33,8 @@ gives every node's two children and the p0 a draw is compared with, and
 then computes every draw from its (trial seed, stream position) pair,
 vectorised over trials.  The bits land in one (3, trials, n_bits) uint8
 array, and every count behind a report's rates (matching strings, joint
-outcomes, Eve's zeros, Wolf's matches) is taken from that array; the bit
-strings are built once, for the transcripts.
+outcomes, Eve's zeros, Wolf's matches) is taken from that array; the
+report builds the bit strings of its transcripts from it once.
 """
 
 from __future__ import annotations
@@ -135,13 +135,13 @@ def _three_holder_attack(
     n_bits: int,
     trials: int,
     seed: int,
-) -> tuple[tuple[tuple[str, ...], ...], dict[int, tuple[qsim.PureState, int]], np.ndarray]:
+) -> tuple[np.ndarray, dict[int, tuple[qsim.PureState, int]]]:
     """Measure a fresh copy of `state` in `order` for every slot of every trial.
 
-    Returns the per-trial bit strings of qubits 0, 1 and 2; for each
-    possible outcome of the first measurement, the state it leaves and how
-    many slots saw it; and the same bits as a (3, trials, n_bits) uint8
-    array indexed by qubit.  Trial t reads the stream of derive_seed(seed, t).
+    Returns the bits as a (3, trials, n_bits) uint8 array indexed by qubit,
+    and for each possible outcome of the first measurement, the state it
+    leaves and how many slots saw it.  Trial t reads the stream of
+    derive_seed(seed, t).
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -170,7 +170,7 @@ def _three_holder_attack(
     counts = (n_bits * trials - ones, ones)
     first = {bit: (post, counts[bit]) for bit, post in enumerate(levels[1].states)
              if post is not None}
-    return tuple(tuple(bit_strings(qubit_bits)) for qubit_bits in bits), first, bits
+    return bits, first
 
 
 def _joint_counts(*holders: np.ndarray) -> list[int]:
@@ -189,15 +189,15 @@ def _same_strings(x: np.ndarray, y: np.ndarray) -> int:
 
 def _report(
     kind: str,
-    strings: tuple[tuple[str, ...], ...],
     bits,
     conditional_stats: dict,
     attacker_field: str = "eve_bits",
 ) -> AttackReport:
-    # `strings` and `bits` list the attacker, Alice and Bob in that order.
-    attacker, alice, bob = strings
+    # `bits` lists the attacker's, Alice's and Bob's (trials, n_bits) arrays
+    # in that order.
     x, a, b = bits
     trials, n_bits = a.shape
+    attacker, alice, bob = (tuple(bit_strings(holder)) for holder in bits)
     return AttackReport(
         kind=kind,
         n_bits=n_bits,
@@ -223,14 +223,13 @@ def eve_ghz_attack(n_bits: int, trials: int, eve_first: bool, seed: int) -> Atta
     # each remaining holder must be left in a product with the other two
     # qubits, even though the remaining bits stay correlated
     cuts = [((q,), tuple(p for p in range(3) if p != q)) for q in order[1:]]
-    strings, first, bits = _three_holder_attack(
-        qsim.prepare_ghz(3), order, n_bits, trials, seed)
+    bits, first = _three_holder_attack(qsim.prepare_ghz(3), order, n_bits, trials, seed)
     # one verdict per state the first measurement leaves, weighted by its slots
     separable = sum(
         slots for state, slots in first.values()
         if slots and all(qsim.is_product(state, cut).separable for cut in cuts)
     )
-    return _report(GHZ_ATTACK, strings, bits, {
+    return _report(GHZ_ATTACK, bits, {
         "eve_first": bool(eve_first),
         "remainder_separable_rate": separable / (n_bits * trials),
     })
@@ -244,13 +243,12 @@ def eve_w_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     anti-correlated pair and always disagree), so the channel degrades into
     denial of service rather than eavesdropping.
     """
-    strings, _, bits = _three_holder_attack(
-        qsim.prepare_w(), (0, 1, 2), n_bits, trials, seed)
+    bits, _ = _three_holder_attack(qsim.prepare_w(), (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
     joint = _joint_counts(*bits)  # index 0b(eve alice bob)
     eve_zero = sum(joint[:4])
     eve_one = slots - eve_zero
-    return _report(W_ATTACK, strings, bits, {
+    return _report(W_ATTACK, bits, {
         "eve_zero_rate": eve_zero / slots,
         "both_one_given_eve_zero": joint[0b011] / eve_zero if eve_zero else 0.0,
         "disagree_given_eve_one": (
@@ -266,12 +264,11 @@ def biseparable_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     correlation with the action number — and the residual anti-correlated
     pair breaks Alice-Bob agreement outright.
     """
-    strings, _, bits = _three_holder_attack(
-        qsim.prepare_biseparable(), (0, 1, 2), n_bits, trials, seed)
+    bits, _ = _three_holder_attack(qsim.prepare_biseparable(), (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
     eve, alice, bob = bits
     joint = _joint_counts(alice, bob)
-    return _report(BISEPARABLE_ATTACK, strings, bits, {
+    return _report(BISEPARABLE_ATTACK, bits, {
         "eve_one_rate": int(np.count_nonzero(eve)) / slots,
         "alice_bob_joint": {f"{k:02b}": count / slots for k, count in enumerate(joint)},
         "correlation_eve_alice": _pearson(eve.ravel().tolist(), alice.ravel().tolist()),
@@ -308,11 +305,10 @@ def wolf_cnot_attack(n_bits: int, trials: int, target_bit: int, seed: int) -> At
     Alice and Bob still agree perfectly; with |1> he reads the complement.
     """
     triple = build_wolf_triple(target_bit)
-    (alice, bob, wolf), _, bits = _three_holder_attack(
-        triple, (0, 1, 2), n_bits, trials, seed)
+    (alice, bob, wolf), _ = _three_holder_attack(triple, (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
-    matches = int(np.count_nonzero(bits[2] == bits[0]))
-    return _report(WOLF_CNOT_ATTACK, (wolf, alice, bob), (bits[2], bits[0], bits[1]), {
+    matches = int(np.count_nonzero(wolf == alice))
+    return _report(WOLF_CNOT_ATTACK, (wolf, alice, bob), {
         "target_bit": target_bit,
         "ghz_fidelity": qsim.state_fidelity(triple, qsim.prepare_ghz(3)),
         "wolf_matches_alice_rate": matches / slots,

@@ -13,10 +13,10 @@ Three tool families:
 NICD eligibility: distilled output bits must be fair, i.e. both parties'
 functions are balanced (equal preimage sizes).  Unbalanced functions can buy
 trivial "agreement" by collapsing toward a constant — a constant pair agrees
-always and distills nothing — so they are excluded from the maximum; the
-search still iterates every function pair and reports the full count in
-search_size.  Under this rule the exact maximum correlation is 1 - 2*eps,
-attained by matching dictator functions.
+always and distills nothing — so they are excluded from the maximum.  For
+m <= 3 the search scores every balanced pair, and search_size counts every
+function pair, balanced or not.  Under this rule the exact maximum
+correlation is 1 - 2*eps, attained by matching dictator functions.
 """
 
 from __future__ import annotations
@@ -151,19 +151,6 @@ def _dictator_table(m: int, position: int) -> int:
     return table
 
 
-def _pair_correlation(m: int, f_table: int, g_table: int, weights, dist) -> float:
-    # exact expectation of (-1)^(f(a) xor g(b)) via one fsum over all cells
-    size = 1 << m
-    atoms = []
-    for a in range(size):
-        fa = (f_table >> a) & 1
-        row = dist[a]
-        for b in range(size):
-            w = weights[row[b]]
-            atoms.append(w if fa == (g_table >> b) & 1 else -w)
-    return math.fsum(atoms)
-
-
 def _describe_dictator(position: int) -> str:
     return f"matching dictator functions on substring position {position}"
 
@@ -172,87 +159,65 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
     """Best correlation of locally distilled fair bits from noisy substrings.
 
     The joint model: a is uniform on m-bit strings and b differs from a in
-    each position independently with probability eps.  For m <= 3 every
-    (f, g) pair is enumerated and each balanced pair is scored exactly; for
-    m = 4 every f is enumerated and the best response g is constructed
-    pointwise (sign of the conditional expectation), which never exceeds the
-    balanced ceiling.  No sampling anywhere.
+    each position independently with probability eps.  One search serves
+    every m.  With u[a, b] = P(a, b) and signs[row, a] = (-1)^f(a) for every
+    balanced truth table f, w = signs @ u holds E[(-1)^f(a) ; b].  For
+    m <= 3 every balanced pair (f, g) is scored as w @ signs.T; for m = 4
+    every f is scored against its best response g (the sign of each column
+    of w), which no balanced g exceeds.  No sampling anywhere.
+
+    The reported maximum is the exact value of the first matching dictator
+    pair that ties the search maximum within 1e-12: math.fsum over every
+    cell for m <= 3, its best-response score for m = 4.  A dictator always
+    ties: by Witsenhausen's maximal-correlation bound no balanced f and +-1
+    g correlate beyond 1 - 2*eps over m independent BSC(eps) positions, and
+    matching dictators reach it.  So no dictator tying means the search
+    itself is wrong, and RuntimeError is raised rather than an unproven
+    achiever reported.
     """
     if not 1 <= m <= 4:
         raise ValueError("substring length m must lie in 1..4")
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"eps {eps!r} outside [0, 0.5]")
     size = 1 << m
-    weights = _noise_weights(m, eps)
-    dist = _distance_table(m)
-    half = size // 2
-
+    u = np.take(_noise_weights(m, eps), _distance_table(m))
+    every = np.arange(1 << size, dtype=np.uint32)
+    ones = np.zeros(1 << size, np.uint32)
+    for a in range(size):
+        ones += (every >> a) & 1
+    tables = every[ones == size // 2]  # the balanced truth tables, ascending
+    signs = 1.0 - 2.0 * ((tables[:, None] >> np.arange(size, dtype=np.uint32)) & 1)
+    w = signs @ u
+    dictators = [_dictator_table(m, position) for position in range(m)]
+    rows = np.searchsorted(tables, dictators)
     if m <= 3:
-        n_tables = 1 << size
-        balanced = [t for t in range(n_tables) if t.bit_count() == half]
-        best = -2.0
-        best_pair = (balanced[0], balanced[0])
-        for f_table in balanced:
-            for g_table in balanced:
-                corr = _pair_correlation(m, f_table, g_table, weights, dist)
-                if corr > best:
-                    best = corr
-                    best_pair = (f_table, g_table)
-        search_size = n_tables * n_tables
+        best = (w @ signs.T).max()
+        # fsum is exact and independent of order: the sum of every cell's +-P(a, b)
+        values = [math.fsum((u * np.outer(s, s)).flat) for s in signs[rows]]
+        search_size = 1 << (2 * size)
     else:
-        # sign tables for every balanced f, scored against the cell matrix
-        u = np.empty((size, size))
-        for a in range(size):
-            for b in range(size):
-                u[a, b] = weights[dist[a][b]]
-        every = np.arange(1 << size, dtype=np.uint32)
-        ones = np.zeros(1 << size, np.uint32)
-        for a in range(size):
-            ones += (every >> a) & 1
-        tables = every[ones == half]  # the balanced truth tables, ascending
-        # signs[row, a] = (-1)^f(a) for f = tables[row]
-        signs = 1.0 - 2.0 * ((tables[:, None] >> np.arange(size, dtype=np.uint32)) & 1)
-        w = signs @ u  # w[row, b] = E[(-1)^f(a) ; b]
-        negative = w < 0.0
         scores = np.abs(w, out=w).sum(axis=1)
-        best_row = int(np.argmax(scores))
-        best = float(scores[best_row])
-        # the best response g takes the majority sign of each column
-        g_table = sum(1 << b for b in np.flatnonzero(negative[best_row]).tolist())
-        best_pair = (int(tables[best_row]), g_table)
+        best = scores.max()
+        values = scores[rows].tolist()
         search_size = 1 << size
 
-    # prefer reporting a dictator pair whenever one ties the maximum
-    achiever = None
-    for position in range(m):
-        table = _dictator_table(m, position)
-        if m <= 3:
-            corr = _pair_correlation(m, table, table, weights, dist)
-        else:
-            corr = float(scores[np.searchsorted(tables, table)])
-        if abs(corr - best) <= 1e-12:
-            best = corr
-            best_pair = (table, table)
-            achiever = {
-                "f_table": table,
-                "g_table": table,
-                "description": _describe_dictator(position),
-            }
-            break
-    if achiever is None:
-        achiever = {
-            "f_table": best_pair[0],
-            "g_table": best_pair[1],
-            "description": "exhaustive search maximum (no dictator tie)",
-        }
-
-    return NicdResult(
-        m=m,
-        eps=eps,
-        max_agreement=(1.0 + best) / 2.0,
-        max_correlation=best,
-        achiever=achiever,
-        search_size=search_size,
+    for position, (table, value) in enumerate(zip(dictators, values)):
+        if abs(value - best) <= 1e-12:
+            return NicdResult(
+                m=m,
+                eps=eps,
+                max_agreement=(1.0 + value) / 2.0,
+                max_correlation=value,
+                achiever={
+                    "f_table": table,
+                    "g_table": table,
+                    "description": _describe_dictator(position),
+                },
+                search_size=search_size,
+            )
+    raise RuntimeError(
+        f"no matching dictator ties the NICD search maximum {float(best)!r} "
+        f"at m={m}, eps={eps!r}"
     )
 
 

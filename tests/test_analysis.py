@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entangle_coord import analysis, cli
 from entangle_coord.analysis import (
     _CASCADE_BLOCK_CONSTANT,
     MAX_PASSES,
@@ -209,6 +210,76 @@ def loop_nicd_m4(eps):
 @given(eps=st.floats(0.0, 0.5) | st.sampled_from([0.0, 0.5, 5e-324, 0.1]))
 def test_nicd_m4_matches_the_loop_reference(eps):
     assert nicd_max_correlation(4, eps).to_dict() == loop_nicd_m4(eps)
+
+
+def _pair_correlation(m, f_table, g_table, weights, dist):
+    # exact expectation of (-1)^(f(a) xor g(b)) via one fsum over all cells
+    size = 1 << m
+    atoms = []
+    for a in range(size):
+        fa = (f_table >> a) & 1
+        row = dist[a]
+        for b in range(size):
+            w = weights[row[b]]
+            atoms.append(w if fa == (g_table >> b) & 1 else -w)
+    return math.fsum(atoms)
+
+
+def loop_nicd_small(m, eps):
+    """The m <= 3 search one function pair at a time: the reference.
+
+    Every balanced pair is scored by one exact fsum, and the first matching
+    dictator pair that ties the maximum is reported, so every float of
+    nicd_max_correlation must match it exactly.
+    """
+    size = 1 << m
+    weights = _noise_weights(m, eps)
+    dist = _distance_table(m)
+    n_tables = 1 << size
+    balanced = [t for t in range(n_tables) if t.bit_count() == size // 2]
+    best = -2.0
+    best_pair = (balanced[0], balanced[0])
+    for f_table in balanced:
+        for g_table in balanced:
+            corr = _pair_correlation(m, f_table, g_table, weights, dist)
+            if corr > best:
+                best = corr
+                best_pair = (f_table, g_table)
+    achiever = {"f_table": best_pair[0], "g_table": best_pair[1],
+                "description": "exhaustive search maximum (no dictator tie)"}
+    for position in range(m):
+        table = _dictator_table(m, position)
+        corr = _pair_correlation(m, table, table, weights, dist)
+        if abs(corr - best) <= 1e-12:
+            best = corr
+            achiever = {"f_table": table, "g_table": table,
+                        "description": _describe_dictator(position)}
+            break
+    return {"m": m, "eps": eps, "max_agreement": (1.0 + best) / 2.0,
+            "max_correlation": best, "achiever": achiever,
+            "search_size": n_tables * n_tables}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    eps=st.floats(0.0, 0.5) | st.sampled_from([0.0, 0.5, 5e-324, 0.1, 1e-9]),
+)
+def test_nicd_small_matches_the_loop_reference(m, eps):
+    assert nicd_max_correlation(m, eps).to_dict() == loop_nicd_small(m, eps)
+
+
+def test_nicd_raises_when_no_dictator_ties_the_maximum(monkeypatch, capsys):
+    # parity at m = 2 is balanced but scores (1 - 2 eps)^2 < 1 - 2 eps, so the
+    # search maximum has no tie among the tables offered as dictators
+    monkeypatch.setattr(analysis, "_dictator_table", lambda m, position: 0b0110)
+    with pytest.raises(RuntimeError):
+        nicd_max_correlation(2, 0.1)
+    assert cli.main(["nicd", "--m", "2", "--eps", "0.1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error:")
 
 
 def test_nicd_frozen_values():
