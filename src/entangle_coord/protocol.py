@@ -8,9 +8,12 @@ action time.
 
 Strike identities are compartmentalized: each agent receives an action table
 from its own issuing chain (carl issues to alice, dave to bob) mapping bit
-values to opaque action tokens.  Tokens carry no strike information, so one
-captured table plus the bits still leaves every strike label possible; only
-headquarters' strike set resolves the selected number to a label.
+values to opaque action tokens.  An agent's table is one fresh random 64-bit
+base per run: slot i's tokens are base + 2i (bit 0) and base + 2i + 1 (bit 1),
+mod 2**64, in 16 hex digits, and a two-party record lists the token of each
+observed bit.  Tokens carry no strike information, so one captured table
+plus the bits still leaves every strike label possible; only headquarters'
+strike set resolves the selected number to a label.
 
 Convention: slot/pair index 0 contributes the most significant bit of the
 action number.
@@ -27,24 +30,28 @@ order, and nothing else:
    the flip probability is positive and the agent is not alice.
 
 Draw j of the run is mix(s + (j + 1) * GAMMA) (see seeding), and trial t of
-a batch has s = derive_seed(master, t).  Both engines follow this contract:
-`run_protocol` and `run_multiagent` read the stream one run at a time and
-are the sequential reference; `run_batch`, behind `iter_runs` and the
-command line, computes every draw from its (trial seed, position) pair,
-vectorised over trials and slots.
+a batch has s = derive_seed(master, t).  One engine follows this contract:
+`run_batch`, behind `iter_runs` and the command line, computes every draw
+from its (trial seed, position) pair, vectorised over trials and slots, and
+`run_protocol` and `run_multiagent` are its one-trial views.  The test suite
+keeps a sequential reference that reads the stream one draw at a time and
+measures dense states through the public qsim operators, and checks the
+engine against it bit for bit.
 
 Two branches per slot.  Each qubit is measured once, so a slot's Bell or
 GHZ register only ever has two nonzero amplitudes, u where every unmeasured
 qubit is 0 and v where every one is 1, and `run_batch` keeps just these.
-With (c, s) = (cos t/2, sin t/2), the scalar kernel's p1 has two nonzero
-terms, (s*u)**2 and (c*v)**2, or for the last qubit one, (c*v + s*u)**2;
-its other terms add exact zeros and two floats sum alike in either order,
-so both engines sample against the same p1.
+With (c, s) = (cos t/2, sin t/2), the dense p1 has two nonzero terms,
+(s*u)**2 and (c*v)**2, or for the last qubit one, (c*v + s*u)**2; its other
+terms add exact zeros and two floats sum alike in either order, so the
+engine samples against qsim's p1.  The kept branch is renormalised by its
+own weight, as qsim's collapse does.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -52,19 +59,16 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import qsim
-# perfbench/tracing.py counts protocol's measurements at StateRegistry.measure
-# and also patches qsim.measure_qubit, which the attacks do not call (they
-# read qsim.branches); binding the operators by name keeps it from counting
-# protocol's twice.
+# perfbench/tracing.py counts measurements at StateRegistry.measure and also
+# patches qsim.measure_qubit; binding the operators by name keeps it from
+# counting a registry measurement twice.
 from .qsim import DEGENERATE_BRANCH, PureState, apply_y_rotation, measure_qubit
-from .seeding import _MASK64, SplitMix64, randrange, stream_draws, uniforms
+from .seeding import _MASK64, randrange, stream_draws, uniforms
 
 #: RunRecord strike value when the two bit strings disagree.
 AMBIGUOUS = "ambiguous"
 
 _CANONICAL_AGENTS = ("alice", "bob")
-_CANONICAL_ISSUERS = ("carl", "dave")
-_ISSUER_FOR = {"alice": "carl", "bob": "dave"}
 
 
 # ---------------------------------------------------------------------- types
@@ -124,47 +128,6 @@ class StrikeSet:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("strike labels must be distinct")
-
-
-@dataclass(frozen=True)
-class ActionTable:
-    """Per-agent mapping from (slot, bit) to an opaque action token."""
-
-    agent: str
-    issuer: str
-    entries: tuple[tuple[str, str], ...]  # entries[slot] = (token if 0, token if 1)
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("an action table needs at least one slot")
-        expected = _ISSUER_FOR.get(self.agent)
-        if expected is not None and self.issuer != expected:
-            raise ValueError(f"agent {self.agent!r} must be issued by {expected!r}")
-        flat = [tok for pair in self.entries for tok in pair]
-        if len(set(flat)) != len(flat):
-            raise ValueError("action tokens must be distinct within a table")
-
-    @property
-    def n_bits(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def _trusted(cls, agent: str, issuer: str, entries: tuple) -> "ActionTable":
-        # Internal fast path: token distinctness and issuer pairing are
-        # guaranteed by the issuing code, so skip __post_init__ checks.
-        table = object.__new__(cls)
-        object.__setattr__(table, "agent", agent)
-        object.__setattr__(table, "issuer", issuer)
-        object.__setattr__(table, "entries", entries)
-        return table
-
-
-@dataclass(frozen=True)
-class AgentMemory:
-    """Which (pair index, qubit position) slots this agent's hardware holds."""
-
-    agent: str
-    slots: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -235,7 +198,11 @@ class MultiRunRecord(NamedTuple):
 
 
 class StateRegistry:
-    """Live shared states plus bookkeeping of which qubit slots are spent."""
+    """Live shared states plus bookkeeping of which qubit slots are spent.
+
+    No command reaches it: perfbench/tracing.py looks up its `measure` and
+    `rotate` by name, and the test suite's sequential reference runs on it.
+    """
 
     def __init__(self, states: Sequence[PureState]) -> None:
         self._states = list(states)
@@ -269,18 +236,6 @@ def _agent_names(k: int) -> tuple[str, ...]:
     return _CANONICAL_AGENTS[:k] + tuple(f"agent{i}" for i in range(2, k))
 
 
-@lru_cache(maxsize=32)
-def _issuer_names(k: int) -> tuple[str, ...]:
-    return _CANONICAL_ISSUERS[:k] + tuple(f"issuer{i}" for i in range(2, k))
-
-
-@lru_cache(maxsize=32)
-def _shared_state(k: int) -> PureState:
-    # Amplitudes are read-only (every gate/measurement builds a new
-    # PureState), so one instance, with its cached branches, seeds every slot.
-    return qsim.prepare_bell() if k == 2 else qsim.prepare_ghz(k)
-
-
 @lru_cache(maxsize=64)
 def default_strike_set(n_bits: int) -> StrikeSet:
     """Placeholder strike labels for simulation runs (real sets come from headquarters)."""
@@ -301,113 +256,12 @@ def strike_of(number: int, strikes: StrikeSet) -> str:
     return strikes.labels[number]
 
 
-def _fresh_tokens(rng, count: int) -> list[str]:
-    # One random 64-bit base per table; consecutive offsets keep the tokens
-    # distinct by construction while the base keeps them fresh per run.
-    base = rng.getrandbits(64)
-    return ["%016x" % ((base + i) & _MASK64) for i in range(count)]
-
-
-# ----------------------------------------------------------------- operations
-
-
-def _distribute(k: int, n_bits: int, rng) -> tuple[StateRegistry, list[AgentMemory]]:
-    if n_bits < 1:
-        raise ValueError("n_bits must be at least 1")
-    states = [_shared_state(k)] * n_bits
-    if k == 2:
-        # which side physically holds which qubit of each pair is randomized
-        positions = []
-        for _ in range(n_bits):
-            p = rng.getrandbits(1)
-            positions.append((p, 1 - p))
-    else:
-        positions = []
-        for _ in range(n_bits):
-            perm = list(range(k))
-            rng.shuffle(perm)
-            positions.append(tuple(perm))
-    memories = [
-        AgentMemory(name, tuple((i, positions[i][a]) for i in range(n_bits)))
-        for a, name in enumerate(_agent_names(k))
-    ]
-    return StateRegistry(states), memories
-
-
-def distribute_pairs(n_bits: int, rng) -> tuple[StateRegistry, AgentMemory, AgentMemory]:
-    """Create n_bits Bell pairs and deal one qubit of each to alice and bob."""
-    registry, memories = _distribute(2, n_bits, rng)
-    return registry, memories[0], memories[1]
-
-
-def _precommunicate(k: int, n_bits: int, rng) -> list[ActionTable]:
-    tables = []
-    for agent, issuer in zip(_agent_names(k), _issuer_names(k)):
-        it = iter(_fresh_tokens(rng, 2 * n_bits))
-        tables.append(ActionTable._trusted(agent, issuer, tuple(zip(it, it))))
-    return tables
-
-
-def precommunicate(strikes: StrikeSet, rng) -> tuple[ActionTable, ActionTable]:
-    """Issue action tables through the two disjoint chains (carl->alice, dave->bob)."""
-    tables = _precommunicate(2, strikes.n_bits, rng)
-    return tables[0], tables[1]
-
-
-def agent_measure(
-    memory: AgentMemory,
-    table: ActionTable,
-    noise: NoiseModel,
-    registry: StateRegistry,
-    rng,
-) -> tuple[str, tuple[str, ...]]:
-    """Measure this agent's slots in order; return (bit string, action tokens).
-
-    The agent's misalignment angle rotates its own qubit just before each
-    measurement.  The classical flip channel acts on every agent except alice,
-    so exactly one side of a two-party run carries the flip noise.
-    """
-    if table.agent != memory.agent:
-        raise ValueError(f"table for {table.agent!r} given to agent {memory.agent!r}")
-    if table.n_bits != len(memory.slots):
-        raise ValueError("table and memory disagree on the number of slots")
-    theta = noise.misalign_alice if memory.agent == "alice" else noise.misalign_bob
-    flip = noise.flip_prob if memory.agent != "alice" else 0.0
-    entries = table.entries
-    measure = registry.measure
-    chars: list[str] = []
-    actions: list[str] = []
-    slot_no = 0
-    for index, position in memory.slots:
-        if theta != 0.0:
-            registry.rotate(index, position, theta)
-        bit = measure(index, position, rng)
-        if flip and rng.random() < flip:
-            bit ^= 1
-        chars.append("01"[bit])
-        actions.append(entries[slot_no][bit])
-        slot_no += 1
-    return "".join(chars), tuple(actions)
-
-
 def _resolve_strikes(strikes: StrikeSet | None, n_bits: int) -> StrikeSet:
     if strikes is None:
         return default_strike_set(n_bits)
     if strikes.n_bits != n_bits:
         raise ValueError("strike set size does not match n_bits")
     return strikes
-
-
-def _run_sequential(
-    k: int, n_bits: int, noise: NoiseModel, seed: int
-) -> list[tuple[str, tuple[str, ...]]]:
-    # Every agent's (bits, actions), reading the stream of `seed` one draw at
-    # a time: distribute, precommunicate, then each agent measures in turn.
-    rng = SplitMix64(seed)
-    registry, memories = _distribute(k, n_bits, rng)
-    tables = _precommunicate(k, n_bits, rng)
-    return [agent_measure(memory, table, noise, registry, rng)
-            for memory, table in zip(memories, tables)]
 
 
 def _run_record(
@@ -418,7 +272,7 @@ def _run_record(
     bob_actions: tuple[str, ...],
     labels: Sequence[str],
 ) -> RunRecord:
-    # The record both engines report for one two-party run.
+    # The record of one two-party run.
     number_a = int(alice_bits, 2)
     agree = alice_bits == bob_bits
     return RunRecord(seed, alice_bits, bob_bits, alice_actions, bob_actions, number_a,
@@ -426,45 +280,13 @@ def _run_record(
 
 
 def _multi_record(seed: int, bits: tuple[str, ...], labels: Sequence[str]) -> MultiRunRecord:
-    # The record both engines report for one run with len(bits) agents.
+    # The record of one run with len(bits) agents.
     k = len(bits)
     numbers = tuple(int(b, 2) for b in bits)
     pairwise = tuple((i, j, bits[i] == bits[j]) for i in range(k) for j in range(i + 1, k))
     all_agree = all(flag for _, _, flag in pairwise)
     return MultiRunRecord(seed, len(bits[0]), _agent_names(k), bits, numbers, pairwise,
                           all_agree, labels[numbers[0]] if all_agree else AMBIGUOUS)
-
-
-def run_protocol(
-    n_bits: int,
-    noise: NoiseModel,
-    seed: int,
-    strikes: StrikeSet | None = None,
-) -> RunRecord:
-    """One complete two-party run; a deterministic function of its arguments."""
-    labels = _resolve_strikes(strikes, n_bits).labels
-    (alice_bits, alice_actions), (bob_bits, bob_actions) = _run_sequential(
-        2, n_bits, noise, seed)
-    return _run_record(seed, alice_bits, bob_bits, alice_actions, bob_actions, labels)
-
-
-def run_multiagent(
-    k_agents: int,
-    n_bits: int,
-    noise: NoiseModel,
-    seed: int,
-    strikes: StrikeSet | None = None,
-) -> MultiRunRecord:
-    """One run with k agents sharing k-qubit all-or-nothing states per bit.
-
-    With k_agents = 2 this performs exactly the same draws as run_protocol,
-    so the bit strings and agreement reduce to the two-party record.
-    """
-    if k_agents < 2:
-        raise ValueError("need at least 2 agents")
-    labels = _resolve_strikes(strikes, n_bits).labels
-    runs = _run_sequential(k_agents, n_bits, noise, seed)
-    return _multi_record(seed, tuple(agent_bits for agent_bits, _ in runs), labels)
 
 
 # ------------------------------------------------------------- batch engine
@@ -489,7 +311,8 @@ class TrialBatch(NamedTuple):
         """One record per trial: a RunRecord for two agents, else a MultiRunRecord.
 
         Each equals what run_protocol / run_multiagent return for the trial's
-        seed.
+        seed, and what the sequential reference in the test suite
+        (tests/sequential_reference.py) gives for it.
         """
         k, trials, n_bits = self.bits.shape
         labels = _resolve_strikes(strikes, n_bits).labels
@@ -547,15 +370,16 @@ def _holders(seeds: np.ndarray, k: int, n_bits: int) -> np.ndarray:
     return counters
 
 
-def _run_chunk(seeds, k, n_bits, noise, amplitude) -> tuple[np.ndarray, np.ndarray]:
+def _run_chunk(seeds, k, n_bits, noise) -> tuple[np.ndarray, np.ndarray]:
     # Token bases (k, lanes) and bits (k, lanes, n_bits) of one chunk of trials.
     counters = _holders(seeds, k, n_bits)
     bases = stream_draws(seeds, counters + np.arange(k, dtype=np.uint64)[:, None])
     bits = np.empty((k, len(seeds), n_bits), np.uint8)
     counters = counters + k
     lane_seeds = seeds[:, None]
-    # Each slot's two branch amplitudes (see the module docstring).
-    u = np.full((len(seeds), n_bits), amplitude)
+    # Each slot's two branch amplitudes (see the module docstring); both
+    # start at the Bell state's 1/sqrt(2).
+    u = np.full((len(seeds), n_bits), qsim.prepare_bell().amplitudes[0].real)
     v = u.copy()
     for agent in range(k):
         theta = noise.misalign_alice if agent == 0 else noise.misalign_bob
@@ -573,8 +397,8 @@ def _run_chunk(seeds, k, n_bits, noise, amplitude) -> tuple[np.ndarray, np.ndarr
         used = born.astype(np.uint64) + (1 if flip else 0)
         positions = counters[:, None] + (np.cumsum(used, axis=1) - used)
         bit = np.where(born, ~(uniforms(lane_seeds, positions) < p0), ~low)
-        if agent < k - 1:  # collapse onto the observed branch
-            scale = 1.0 / np.sqrt(np.where(bit, p1, p0))
+        if agent < k - 1:  # collapse onto the observed branch, by its own weight
+            scale = 1.0 / np.sqrt(np.where(bit, p1, a0 * a0 + b0 * b0))
             u = np.where(bit, a1, a0) * scale
             v = np.where(bit, b1, b0) * scale
         if flip:
@@ -582,6 +406,22 @@ def _run_chunk(seeds, k, n_bits, noise, amplitude) -> tuple[np.ndarray, np.ndarr
         bits[agent] = bit
         counters = counters + used.sum(axis=1)
     return bases, bits
+
+
+def _check_run(k_agents: int, n_bits: int) -> None:
+    if k_agents < 2:
+        raise ValueError("need at least 2 agents")
+    if n_bits < 1:
+        raise ValueError("n_bits must be at least 1")
+    if k_agents > qsim.QUBIT_CAP:
+        raise ValueError(f"num_qubits={k_agents} exceeds QUBIT_CAP={qsim.QUBIT_CAP}")
+
+
+def _check_seed(seed: int, name: str) -> int:
+    seed = operator.index(seed)  # numpy would truncate a float seed silently
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64)")
+    return seed
 
 
 def run_batch(
@@ -593,24 +433,17 @@ def run_batch(
 ) -> TrialBatch:
     """Trials 0..trials-1 under `master_seed`, computed from their indices.
 
-    Trial t equals run_multiagent(k_agents, n_bits, noise, derive_seed(
-    master_seed, t)) (run_protocol for two agents) bit for bit: every draw is
-    computed from the trial seed and its stream position (see the module
+    Trial t is the run with trial seed derive_seed(master_seed, t): every
+    draw is computed from that seed and its stream position (see the module
     docstring), vectorised over trials and slots with two real branch
-    amplitudes per slot in place of its register's 2**k.
+    amplitudes per slot in place of its register's 2**k.  The test suite
+    checks it bit for bit against a sequential reference that reads the
+    stream one draw at a time on dense states (tests/sequential_reference.py).
     """
-    if k_agents < 2:
-        raise ValueError("need at least 2 agents")
-    if n_bits < 1:
-        raise ValueError("n_bits must be at least 1")
+    _check_run(k_agents, n_bits)
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError("master seed must lie in [0, 2**64)")
-    if k_agents > qsim.QUBIT_CAP:
-        raise ValueError(f"num_qubits={k_agents} exceeds QUBIT_CAP={qsim.QUBIT_CAP}")
-    # Both branches of a Bell or GHZ state start at the Bell state's 1/sqrt(2).
-    amplitude = float(_shared_state(2).amplitudes[0].real)
+    master_seed = _check_seed(master_seed, "master seed")
     seeds = np.empty(trials, np.uint64)
     bases = np.empty((k_agents, trials), np.uint64)
     bits = np.empty((k_agents, trials, n_bits), np.uint8)
@@ -619,8 +452,45 @@ def run_batch(
         part = slice(start, start + lanes)
         chunk = seeds[part]
         chunk[:] = stream_draws(master_seed, np.arange(start, start + len(chunk), dtype=np.uint64))
-        bases[:, part], bits[:, part] = _run_chunk(chunk, k_agents, n_bits, noise, amplitude)
+        bases[:, part], bits[:, part] = _run_chunk(chunk, k_agents, n_bits, noise)
     return TrialBatch(seeds, bases, bits)
+
+
+def _one_trial(k_agents: int, n_bits: int, noise: NoiseModel, seed: int) -> TrialBatch:
+    # The run with trial seed `seed`, as a batch of one lane.
+    _check_run(k_agents, n_bits)
+    seeds = np.array([_check_seed(seed, "seed")], np.uint64)
+    return TrialBatch(seeds, *_run_chunk(seeds, k_agents, n_bits, noise))
+
+
+def run_protocol(
+    n_bits: int,
+    noise: NoiseModel,
+    seed: int,
+    strikes: StrikeSet | None = None,
+) -> RunRecord:
+    """One complete two-party run; a deterministic function of its arguments.
+
+    This is trial t of run_batch(2, ...) when seed = derive_seed(master, t).
+    """
+    return next(_one_trial(2, n_bits, noise, seed).records(strikes))
+
+
+def run_multiagent(
+    k_agents: int,
+    n_bits: int,
+    noise: NoiseModel,
+    seed: int,
+    strikes: StrikeSet | None = None,
+) -> MultiRunRecord:
+    """One run with k agents sharing k-qubit all-or-nothing states per bit.
+
+    With k_agents = 2 this is the run run_protocol gives for the same seed,
+    so the bit strings and agreement reduce to the two-party record.
+    """
+    batch = _one_trial(k_agents, n_bits, noise, seed)
+    labels = _resolve_strikes(strikes, n_bits).labels
+    return _multi_record(batch.seeds.tolist()[0], tuple(bit_strings(batch.bits[:, 0])), labels)
 
 
 def iter_runs(

@@ -3,7 +3,7 @@
 Basis ordering is big-endian: qubit 0 is the leftmost factor of a ket, so on
 three qubits basis index 3 is |011> (qubit 0 = 0, qubit 1 = 1, qubit 2 = 1).
 All measurement is projective in the shared computational basis; collapse
-renormalizes the surviving branch by the square root of its probability.
+renormalizes the surviving branch by the square root of its own weight.
 
 States are kept as explicit complex128 vectors of length 2**num_qubits,
 read-only once built: every operator returns a new state.  Rotation and
@@ -219,7 +219,8 @@ def branches(state: PureState, qubit: int) -> tuple[Outcome | None, Outcome | No
     """Both outcomes of measuring `qubit`, indexed by bit.
 
     Bit 1 has the Born probability p1 and bit 0 has p0 = 1 - p1; each post-
-    state is its branch renormalized by the square root of that probability.
+    state is its branch renormalized by the square root of the branch's own
+    weight (for bit 1, p1 itself).
     A branch whose probability is below DEGENERATE_BRANCH is None.  States of
     at most BRANCH_CACHE_QUBITS qubits keep the result, except those reached
     by BRANCH_CACHE_DEPTH collapses.
@@ -231,7 +232,7 @@ def branches(state: PureState, qubit: int) -> tuple[Outcome | None, Outcome | No
         p1 = _weight(view[:, 1])
         pair = tuple(
             None if prob < DEGENERATE_BRANCH
-            else Outcome(bit, prob, _collapse(state, view, bit, prob))
+            else Outcome(bit, prob, _collapse(state, view, bit))
             for bit, prob in ((0, 1.0 - p1), (1, p1))
         )
         if cache is not None:
@@ -239,9 +240,12 @@ def branches(state: PureState, qubit: int) -> tuple[Outcome | None, Outcome | No
     return pair
 
 
-def _collapse(state: PureState, view: np.ndarray, bit: int, prob: float) -> PureState:
+def _collapse(state: PureState, view: np.ndarray, bit: int) -> PureState:
+    # Divide by the kept half's own weight: the sampling threshold 1 - p1
+    # would scale the input's norm error up by 1/p0.
+    kept = view[:, bit]
     out = np.zeros_like(view)
-    out[:, bit] = view[:, bit] * (1.0 / math.sqrt(prob))
+    out[:, bit] = kept * (1.0 / math.sqrt(_weight(kept)))
     return PureState._trusted(state.num_qubits, out.reshape(-1), state._collapses + 1)
 
 

@@ -126,7 +126,9 @@ def shuffle(seed: int, n: int) -> tuple[list[int], int]:
 class SplitMix64:
     """Sequential SplitMix64 stream: state advances by GAMMA, output is mixed.
 
-    This is the generator behind each protocol run.  It is fully specified by
+    Each protocol run reads the stream of its trial seed: the engines compute
+    those draws from their stream positions (:func:`stream_draws`), and this
+    class reads the same stream one draw at a time.  It is fully specified by
     the same four lines as :func:`derive_seed` (with the state playing the
     role of the pre-mix sum), so runs can be reproduced outside this package
     from the seed alone.  Uniform doubles use the top 53 bits of each output.

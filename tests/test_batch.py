@@ -1,4 +1,5 @@
-"""The counter-addressed batch engine equals the scalar reference bit for bit."""
+"""The counter-addressed batch engine and its one-trial views equal the
+sequential reference (sequential_reference.py) bit for bit."""
 
 import math
 import tracemalloc
@@ -17,11 +18,11 @@ from entangle_coord.protocol import (
     bit_strings,
     iter_runs,
     run_batch,
-    run_multiagent,
-    run_protocol,
 )
 from entangle_coord.qsim import DEGENERATE_BRANCH, QUBIT_CAP
 from entangle_coord.seeding import SplitMix64, derive_seed
+
+import sequential_reference as ref
 
 # The angle at which a Bell partner's small branch weighs exactly
 # DEGENERATE_BRANCH; the half-turn leaves a branch of about 4e-33, far below
@@ -39,10 +40,10 @@ def _tokens(base: int, bits: str) -> tuple[str, ...]:
 
 
 def _scalar_tables(k: int, n_bits: int, seed: int):
-    # The scalar path's action tables: same stream, same order of draws.
+    # The reference's action tables: same stream, same order of draws.
     rng = SplitMix64(seed)
-    protocol._distribute(k, n_bits, rng)
-    return protocol._precommunicate(k, n_bits, rng)
+    ref._distribute(k, n_bits, rng)
+    return ref._precommunicate(k, n_bits, rng)
 
 
 def _assert_matches_scalar(k, n_bits, noise, trials, master):
@@ -58,14 +59,16 @@ def _assert_matches_scalar(k, n_bits, noise, trials, master):
         for agent, table in enumerate(tables):
             expected = tuple(table.entries[i][int(b)] for i, b in enumerate(bits[agent]))
             assert _tokens(int(batch.token_bases[agent, t]), bits[agent]) == expected
+        multi = ref.run_multiagent(k, n_bits, noise, seed)
+        assert multi.bits == bits
+        assert protocol.run_multiagent(k, n_bits, noise, seed) == multi
         if k == 2:
-            ref = run_protocol(n_bits, noise, seed)
-            assert (ref.alice_bits, ref.bob_bits) == bits
-            assert records[t] == ref  # tokens, numbers, agree and strike included
+            expected = ref.run_protocol(n_bits, noise, seed)
+            assert (expected.alice_bits, expected.bob_bits) == bits
+            # tokens, numbers, agree and strike included
+            assert records[t] == protocol.run_protocol(n_bits, noise, seed) == expected
         else:
-            ref = run_multiagent(k, n_bits, noise, seed)
-            assert ref.bits == bits
-            assert records[t] == ref
+            assert records[t] == multi
 
 
 @settings(max_examples=120, deadline=None)
@@ -89,16 +92,29 @@ def test_chunk_boundaries_never_shift_a_trial(k, n_bits):
     noise = NoiseModel(flip_prob=0.1, misalign_bob=0.4)
     for trials in (lanes + 1, 2 * lanes + 1):
         batch = run_batch(k, n_bits, noise, trials, 77)
-        # the trials around each chunk edge, against the scalar reference
+        # the trials around each chunk edge, against the sequential reference
         for t in (0, lanes - 1, lanes, trials - 2, trials - 1):
             seed = derive_seed(77, t)
-            ref = run_multiagent(k, n_bits, noise, seed)
             assert int(batch.seeds[t]) == seed
-            assert tuple(bit_strings(batch.bits[:, t])) == ref.bits
+            assert tuple(bit_strings(batch.bits[:, t])) == ref.run_multiagent(
+                k, n_bits, noise, seed).bits
         # and a shorter batch holds the same leading trials
         head = run_batch(k, n_bits, noise, lanes - 1, 77)
         assert np.array_equal(head.bits, batch.bits[:, : lanes - 1])
         assert np.array_equal(head.token_bases, batch.token_bases[:, : lanes - 1])
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+@pytest.mark.parametrize("k", [2, 3])
+def test_views_at_the_seed_domain_edges(k, seed):
+    # Relative misalignment EDGE leaves bob's small branch at DEGENERATE_BRANCH
+    # to rounding, so whether it takes a Born draw depends on the last bit of
+    # alice's collapse: these runs tell apart renormalising by 1 - p1 and by
+    # the kept branch's own weight.
+    noise = NoiseModel(flip_prob=0.1, misalign_alice=-0.5 * EDGE, misalign_bob=0.5 * EDGE)
+    assert protocol.run_multiagent(k, 8, noise, seed) == ref.run_multiagent(k, 8, noise, seed)
+    if k == 2:
+        assert protocol.run_protocol(8, noise, seed) == ref.run_protocol(8, noise, seed)
 
 
 def test_wide_register_matches_scalar():
@@ -145,4 +161,6 @@ def test_run_batch_validates_arguments():
     for master in (-1, 1 << 64):
         with pytest.raises(ValueError):
             run_batch(2, 1, quiet, 1, master)
+    with pytest.raises(TypeError):
+        run_batch(2, 1, quiet, 1, 1.5)  # not truncated to master seed 1
     assert run_batch(2, 1, quiet, 0, 0).bits.shape == (2, 0, 1)

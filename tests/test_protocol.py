@@ -1,8 +1,10 @@
-"""Protocol-level behavior: distribution, tables, measurement, records."""
+"""Protocol-level behavior: records, tables and runs, and the sequential
+reference's distribution, tables and measurement (sequential_reference.py)."""
 
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,23 +13,26 @@ from scipy.stats import chi2_contingency
 from entangle_coord import qsim
 from entangle_coord.protocol import (
     AMBIGUOUS,
-    ActionTable,
-    AgentMemory,
-    MultiRunRecord,
     NoiseModel,
-    RunRecord,
     StateRegistry,
     StrikeSet,
     action_number,
     default_strike_set,
-    distribute_pairs,
     iter_runs,
-    precommunicate,
+    run_batch,
     run_multiagent,
     run_protocol,
     strike_of,
 )
 from entangle_coord.seeding import SplitMix64, derive_seed
+
+from sequential_reference import (
+    ActionTable,
+    AgentMemory,
+    agent_measure,
+    distribute_pairs,
+    precommunicate,
+)
 
 QUIET = NoiseModel()
 
@@ -149,7 +154,7 @@ def test_multi_run_record_serialization():
     json.dumps(d)
 
 
-# ----------------------------------------------------- distribution layer
+# ------------------------------------ distribution layer (sequential reference)
 
 
 def test_distribute_pairs_entries_are_bell():
@@ -180,8 +185,6 @@ def test_distribute_rejects_zero_bits():
 
 
 def test_joint_measurement_equal_bits():
-    from entangle_coord.protocol import agent_measure
-
     for n_bits in (1, 2, 4):
         for seed in range(50):
             rng = SplitMix64(seed)
@@ -236,8 +239,6 @@ def test_registry_math_matches_public_operators():
 
 
 def test_agent_measure_validates_inputs():
-    from entangle_coord.protocol import agent_measure
-
     rng = SplitMix64(1)
     registry, a_mem, b_mem = distribute_pairs(2, rng)
     a_tab, b_tab = precommunicate(default_strike_set(2), rng)
@@ -251,45 +252,46 @@ def test_agent_measure_validates_inputs():
 # --------------------------------------------------------------- secrecy
 
 
+def _table(base, n_bits):
+    # An agent's whole action table: slot i holds base + 2i and base + 2i + 1.
+    return ["%016x" % ((int(base) + j) % (1 << 64)) for j in range(2 * n_bits)]
+
+
 def test_precommunicate_issuer_split():
-    a_tab, b_tab = precommunicate(default_strike_set(2), SplitMix64(8))
-    assert (a_tab.agent, a_tab.issuer) == ("alice", "carl")
-    assert (b_tab.agent, b_tab.issuer) == ("bob", "dave")
-    assert a_tab.n_bits == b_tab.n_bits == 2
+    # carl issues alice's table and dave bob's: no token is in both
+    batch = run_batch(2, 2, QUIET, 50, 8)
+    for t, rec in enumerate(batch.records()):
+        alice, bob = (_table(base, 2) for base in batch.token_bases[:, t])
+        assert not set(alice) & set(bob)
+        assert set(rec.alice_actions) <= set(alice)
+        assert set(rec.bob_actions) <= set(bob)
 
 
 def test_tokens_are_opaque_and_fresh():
-    strikes = default_strike_set(2)
-    a1, b1 = precommunicate(strikes, SplitMix64(8))
-    a2, _ = precommunicate(strikes, SplitMix64(9))
-    flat_a = [tok for pair in a1.entries for tok in pair]
-    flat_b = [tok for pair in b1.entries for tok in pair]
-    assert len(set(flat_a)) == len(flat_a)
-    assert not set(flat_a) & set(flat_b)
-    assert a1.entries != a2.entries
-    for tok in flat_a + flat_b:
-        assert "strike" not in tok
+    batch = run_batch(2, 2, QUIET, 2, 8)
+    first, second = batch.records()
+    tokens = first.alice_actions + first.bob_actions
+    assert len(set(tokens)) == len(tokens)
+    for tok in tokens:
+        assert len(tok) == 16 and set(tok) <= set("0123456789abcdef")
+        assert "strike" not in tok and first.strike not in tok
+    # another seed issues other tables
+    assert first.seed != second.seed
+    assert not set(_table(batch.token_bases[0, 0], 2)) & set(_table(batch.token_bases[0, 1], 2))
+    assert first.alice_actions != second.alice_actions
 
 
 def test_both_tables_jointly_identify_the_strike():
     strikes = default_strike_set(3)
-    rec = run_protocol(3, QUIET, 77)
-    a_tab, b_tab = None, None
-    # reissue the same tables by replaying the run's seed
-    rng = SplitMix64(77)
-    distribute_pairs(3, rng)
-    a_tab, b_tab = precommunicate(strikes, rng)
-    bits_from_a = "".join(
-        "0" if a_tab.entries[i][0] == tok else "1"
-        for i, tok in enumerate(rec.alice_actions)
-    )
-    bits_from_b = "".join(
-        "0" if b_tab.entries[i][0] == tok else "1"
-        for i, tok in enumerate(rec.bob_actions)
-    )
-    assert bits_from_a == rec.alice_bits
-    assert bits_from_b == rec.bob_bits
-    assert strikes.labels[action_number(bits_from_a)] == rec.strike
+    batch = run_batch(2, 3, QUIET, 1, 77)
+    rec = next(batch.records(strikes))
+    # each agent's base and its tokens decode its bits, hence the strike
+    decoded = []
+    for base, actions in zip(batch.token_bases[:, 0], (rec.alice_actions, rec.bob_actions)):
+        table = _table(base, 3)
+        decoded.append("".join(str(table.index(tok) - 2 * i) for i, tok in enumerate(actions)))
+    assert decoded == [rec.alice_bits, rec.bob_bits]
+    assert strikes.labels[action_number(decoded[0])] == rec.strike
 
 
 # ----------------------------------------------------------- protocol runs
@@ -354,8 +356,6 @@ def test_misalignment_depends_on_relative_angle():
 
 
 def test_order_independence_chi_squared():
-    from entangle_coord.protocol import agent_measure
-
     theta = math.pi / 3
     noise = NoiseModel(misalign_bob=theta)
     trials = 10_000
@@ -409,6 +409,11 @@ def test_run_protocol_validates_arguments():
         run_protocol(0, QUIET, 1)
     with pytest.raises(ValueError):
         run_protocol(2, QUIET, 1, strikes=default_strike_set(3))
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            run_protocol(2, QUIET, seed)
+    with pytest.raises(TypeError):
+        run_protocol(2, QUIET, 1.5)  # not truncated to seed 1
 
 
 def test_run_protocol_custom_strikes():
@@ -465,3 +470,13 @@ def test_multiagent_noise_hits_non_alice_agents():
 def test_multiagent_validates_k():
     with pytest.raises(ValueError):
         run_multiagent(1, 2, QUIET, 0)
+    with pytest.raises(ValueError, match="QUBIT_CAP"):
+        run_multiagent(qsim.QUBIT_CAP + 1, 2, QUIET, 0)
+
+
+def test_readme_quick_start(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "False 8 True\n"

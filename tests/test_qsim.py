@@ -259,6 +259,19 @@ def _norm_sq(state):
     return float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
 
 
+@pytest.mark.parametrize("norm_sq", [1.0, 1.0 + 1e-12])
+def test_collapse_onto_a_tiny_branch_keeps_unit_norm(norm_sq):
+    # Bit 0 weighs 1e-9 and a uniform of 0.0 selects it.  Renormalizing it by
+    # the sampled 1 - p1 instead of its own weight left |norm^2 - 1| at 8e-8,
+    # and at 1e-3 for an input norm^2 of 1 + 1e-12 (which PureState accepts).
+    p0 = 1e-9
+    state = PureState(1, [math.sqrt(p0 * norm_sq), math.sqrt((1.0 - p0) * norm_sq)])
+    out = measure_qubit(state, 0, FixedRng(0.0))
+    assert out.bit == 0
+    assert out.probability == 1.0 - measurement_probabilities(state, 0)[1]
+    assert abs(_norm_sq(out.post_state) - 1.0) <= 4 * np.finfo(float).eps
+
+
 @st.composite
 def _random_states(draw):
     n = draw(st.integers(1, 6))
@@ -489,7 +502,8 @@ def loop_measure(state, qubit, u):
     else:
         bit = 0 if u < p0 else 1
     prob = p1 if bit else p0
-    scale = 1.0 / math.sqrt(prob)
+    # the kept half is renormalized by its own weight, not by 1 - p1
+    scale = 1.0 / math.sqrt(_branch_weight(amps, ones if bit else zeros))
     out = [0j] * len(amps)
     for i in ones if bit else zeros:
         out[i] = amps[i] * scale
