@@ -46,7 +46,7 @@ import numpy as np
 
 from . import qsim
 from .protocol import bit_strings
-from .seeding import _MASK64, stream_draws, uniforms
+from .seeding import check_seed, stream_draws, uniforms
 
 GHZ_ATTACK = "GHZ"
 W_ATTACK = "W"
@@ -94,12 +94,13 @@ class AttackReport:
             "n_bits": self.n_bits,
             "trials": self.trials,
         }
+        # the report's own tuples: cli.render writes a tuple as a JSON array
         if self.eve_bits is not None:
-            out["eve_bits"] = list(self.eve_bits)
+            out["eve_bits"] = self.eve_bits
         if self.wolf_bits is not None:
-            out["wolf_bits"] = list(self.wolf_bits)
-        out["alice_bits"] = list(self.alice_bits)
-        out["bob_bits"] = list(self.bob_bits)
+            out["wolf_bits"] = self.wolf_bits
+        out["alice_bits"] = self.alice_bits
+        out["bob_bits"] = self.bob_bits
         out["eavesdrop_success_rate"] = self.eavesdrop_success_rate
         out["agreement_rate"] = self.agreement_rate
         out["conditional_stats"] = dict(self.conditional_stats)
@@ -147,8 +148,7 @@ def _three_holder_attack(
         raise ValueError("n_bits must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError("master seed must lie in [0, 2**64)")
+    seed = check_seed(seed, "master seed")
     levels = _outcome_tree(state, order)
     bits = np.empty((3, trials, n_bits), np.uint8)
     for start in range(0, trials, ATTACK_CHUNK):

@@ -168,10 +168,11 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
 
     The reported maximum is the exact value of the first matching dictator
     pair that ties the search maximum within 1e-12: math.fsum over every
-    cell for m <= 3, its best-response score for m = 4.  A dictator always
-    ties: by Witsenhausen's maximal-correlation bound no balanced f and +-1
-    g correlate beyond 1 - 2*eps over m independent BSC(eps) positions, and
-    matching dictators reach it.  So no dictator tying means the search
+    cell, for every m (a dictator is its own best response), so no BLAS
+    reduction reaches the printed value; the search maximum only decides
+    the tie.  A dictator always ties: by Witsenhausen's maximal-correlation
+    bound no balanced f and +-1 g correlate beyond 1 - 2*eps over m
+    independent BSC(eps) positions, and matching dictators reach it.  So no dictator tying means the search
     itself is wrong, and RuntimeError is raised rather than an unproven
     achiever reported.
     """
@@ -190,15 +191,14 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
     w = signs @ u
     dictators = [_dictator_table(m, position) for position in range(m)]
     rows = np.searchsorted(tables, dictators)
+    # fsum is exact and independent of order and of the BLAS kernel: the
+    # sum of every cell's +-P(a, b)
+    values = [math.fsum((u * np.outer(s, s)).flat) for s in signs[rows]]
     if m <= 3:
         best = (w @ signs.T).max()
-        # fsum is exact and independent of order: the sum of every cell's +-P(a, b)
-        values = [math.fsum((u * np.outer(s, s)).flat) for s in signs[rows]]
         search_size = 1 << (2 * size)
     else:
-        scores = np.abs(w, out=w).sum(axis=1)
-        best = scores.max()
-        values = scores[rows].tolist()
+        best = np.abs(w, out=w).sum(axis=1).max()
         search_size = 1 << size
 
     for position, (table, value) in enumerate(zip(dictators, values)):

@@ -35,7 +35,7 @@ from .adversary import (
 )
 from .analysis import bound_table, nicd_max_correlation, reconcile
 from .protocol import NoiseModel, action_number_counts, bit_strings, run_batch
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 
 _SCHEMA_FILE = "report_envelope_v1.json"
 
@@ -67,11 +67,7 @@ def _resolve_seed(flag_value: int | None) -> int:
             raise ValueError(
                 f"ENTANGLE_COORD_SEED must be an integer, got {raw!r}"
             ) from None
-    if flag_value < 0:
-        raise ValueError("master seed must be non-negative")
-    if flag_value >> 64:
-        raise ValueError(f"master seed must be below 2**64, got {flag_value}")
-    return flag_value
+    return check_seed(flag_value, "master seed")
 
 
 def _envelope(command: str, parameters: dict, seed: int, results) -> dict:

@@ -13,7 +13,8 @@ base per run: slot i's tokens are base + 2i (bit 0) and base + 2i + 1 (bit 1),
 mod 2**64, in 16 hex digits, and a two-party record lists the token of each
 observed bit.  Tokens carry no strike information, so one captured table
 plus the bits still leaves every strike label possible; only headquarters'
-strike set resolves the selected number to a label.
+strike set resolves the selected number to a label (`StrikeSet.label`, the
+one place that rule lives, placeholder labels included).
 
 Convention: slot/pair index 0 contributes the most significant bit of the
 action number.
@@ -30,13 +31,14 @@ order, and nothing else:
    the flip probability is positive and the agent is not alice.
 
 Draw j of the run is mix(s + (j + 1) * GAMMA) (see seeding), and trial t of
-a batch has s = derive_seed(master, t).  One engine follows this contract:
-`run_batch`, behind `iter_runs` and the command line, computes every draw
-from its (trial seed, position) pair, vectorised over trials and slots, and
-`run_protocol` and `run_multiagent` are its one-trial views.  The test suite
-keeps a sequential reference that reads the stream one draw at a time and
-measures dense states through the public qsim operators, and checks the
-engine against it bit for bit.
+a batch has s = derive_seed(master, t).  Seeds, master or trial, pass
+seeding.check_seed: an integer in [0, 2**64), never reduced or truncated.
+One engine follows this contract: `run_batch`, behind `iter_runs` and the
+command line, computes every draw from its (trial seed, position) pair,
+vectorised over trials and slots, and `run_protocol` and `run_multiagent`
+are its one-trial views.  The test suite keeps a sequential reference that
+reads the stream one draw at a time and measures dense states through the
+public qsim operators, and checks the engine against it bit for bit.
 
 Two branches per slot.  Each qubit is measured once, so a slot's Bell or
 GHZ register only ever has two nonzero amplitudes, u where every unmeasured
@@ -51,7 +53,6 @@ own weight, as qsim's collapse does.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -63,7 +64,7 @@ from . import qsim
 # patches qsim.measure_qubit; binding the operators by name keeps it from
 # counting a registry measurement twice.
 from .qsim import DEGENERATE_BRANCH, PureState, apply_y_rotation, measure_qubit
-from .seeding import _MASK64, randrange, stream_draws, uniforms
+from .seeding import check_seed, randrange, stream_draws, uniforms
 
 #: RunRecord strike value when the two bit strings disagree.
 AMBIGUOUS = "ambiguous"
@@ -74,53 +75,22 @@ _CANONICAL_AGENTS = ("alice", "bob")
 # ---------------------------------------------------------------------- types
 
 
-class _GeneratedLabels(Sequence):
-    """Placeholder labels "strike-<hex>", materialized on demand.
-
-    Key-agreement regimes run the protocol with n_bits large enough that an
-    explicit tuple of 2**n_bits labels cannot exist; these are distinct by
-    construction, so StrikeSet skips the enumeration check.
-    """
-
-    __slots__ = ("n_bits", "_size", "_fmt")
-
-    def __init__(self, n_bits: int) -> None:
-        self.n_bits = n_bits
-        self._size = 1 << n_bits  # may exceed what __len__ can report
-        self._fmt = ("strike-%0" + str(max(1, (n_bits + 3) // 4)) + "x").__mod__
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._size))]
-        if not 0 <= index < self._size:
-            raise IndexError(index)
-        return self._fmt(index)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _GeneratedLabels):
-            return self.n_bits == other.n_bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("_GeneratedLabels", self.n_bits))
-
-
 @dataclass(frozen=True)
 class StrikeSet:
-    """The 2**n_bits strike labels, indexed by action number."""
+    """The 2**n_bits strike labels, indexed by action number.
+
+    With `labels` None the set stands for the placeholder labels
+    "strike-<hex>", distinct by construction and never enumerated, so
+    key-agreement regimes can run with n_bits far beyond any explicit tuple.
+    """
 
     n_bits: int
-    labels: Sequence[str]
+    labels: Sequence[str] | None = None
 
     def __post_init__(self) -> None:
         if self.n_bits < 1:
             raise ValueError("n_bits must be at least 1")
-        if isinstance(self.labels, _GeneratedLabels):
-            if self.labels.n_bits != self.n_bits:
-                raise ValueError("generated labels sized for a different n_bits")
+        if self.labels is None:
             return
         if len(self.labels) != 1 << self.n_bits:
             raise ValueError(
@@ -128,6 +98,14 @@ class StrikeSet:
             )
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("strike labels must be distinct")
+
+    def label(self, number: int) -> str:
+        """The label of action number `number`."""
+        if not 0 <= number < (1 << self.n_bits):
+            raise ValueError(f"action number {number} out of range")
+        if self.labels is None:
+            return "strike-%0*x" % ((self.n_bits + 3) // 4, number)
+        return self.labels[number]
 
 
 @dataclass(frozen=True)
@@ -236,10 +214,9 @@ def _agent_names(k: int) -> tuple[str, ...]:
     return _CANONICAL_AGENTS[:k] + tuple(f"agent{i}" for i in range(2, k))
 
 
-@lru_cache(maxsize=64)
 def default_strike_set(n_bits: int) -> StrikeSet:
     """Placeholder strike labels for simulation runs (real sets come from headquarters)."""
-    return StrikeSet(n_bits, _GeneratedLabels(n_bits))
+    return StrikeSet(n_bits)
 
 
 def action_number(bits: str) -> int:
@@ -251,9 +228,7 @@ def action_number(bits: str) -> int:
 
 def strike_of(number: int, strikes: StrikeSet) -> str:
     """Resolve an action number against the strike set."""
-    if not 0 <= number < (1 << strikes.n_bits):
-        raise ValueError(f"action number {number} out of range")
-    return strikes.labels[number]
+    return strikes.label(number)
 
 
 def _resolve_strikes(strikes: StrikeSet | None, n_bits: int) -> StrikeSet:
@@ -270,23 +245,23 @@ def _run_record(
     bob_bits: str,
     alice_actions: tuple[str, ...],
     bob_actions: tuple[str, ...],
-    labels: Sequence[str],
+    strikes: StrikeSet,
 ) -> RunRecord:
     # The record of one two-party run.
     number_a = int(alice_bits, 2)
     agree = alice_bits == bob_bits
     return RunRecord(seed, alice_bits, bob_bits, alice_actions, bob_actions, number_a,
-                     int(bob_bits, 2), agree, labels[number_a] if agree else AMBIGUOUS)
+                     int(bob_bits, 2), agree, strikes.label(number_a) if agree else AMBIGUOUS)
 
 
-def _multi_record(seed: int, bits: tuple[str, ...], labels: Sequence[str]) -> MultiRunRecord:
+def _multi_record(seed: int, bits: tuple[str, ...], strikes: StrikeSet) -> MultiRunRecord:
     # The record of one run with len(bits) agents.
     k = len(bits)
     numbers = tuple(int(b, 2) for b in bits)
     pairwise = tuple((i, j, bits[i] == bits[j]) for i in range(k) for j in range(i + 1, k))
     all_agree = all(flag for _, _, flag in pairwise)
     return MultiRunRecord(seed, len(bits[0]), _agent_names(k), bits, numbers, pairwise,
-                          all_agree, labels[numbers[0]] if all_agree else AMBIGUOUS)
+                          all_agree, strikes.label(numbers[0]) if all_agree else AMBIGUOUS)
 
 
 # ------------------------------------------------------------- batch engine
@@ -315,7 +290,7 @@ class TrialBatch(NamedTuple):
         (tests/sequential_reference.py) gives for it.
         """
         k, trials, n_bits = self.bits.shape
-        labels = _resolve_strikes(strikes, n_bits).labels
+        strikes = _resolve_strikes(strikes, n_bits)
         for start in range(0, trials, _RECORD_CHUNK):
             part = slice(start, start + _RECORD_CHUNK)
             strings = [bit_strings(agent_bits) for agent_bits in self.bits[:, part]]
@@ -326,10 +301,10 @@ class TrialBatch(NamedTuple):
                     for base, agent_bits in zip(self.token_bases[:, part], self.bits[:, part])
                 ]
                 for row in zip(seeds, *strings, *actions):
-                    yield _run_record(*row, labels)
+                    yield _run_record(*row, strikes)
             else:
                 for seed, *bits in zip(seeds, *strings):
-                    yield _multi_record(seed, tuple(bits), labels)
+                    yield _multi_record(seed, tuple(bits), strikes)
 
 
 def bit_strings(bits: np.ndarray) -> list[str]:
@@ -417,13 +392,6 @@ def _check_run(k_agents: int, n_bits: int) -> None:
         raise ValueError(f"num_qubits={k_agents} exceeds QUBIT_CAP={qsim.QUBIT_CAP}")
 
 
-def _check_seed(seed: int, name: str) -> int:
-    seed = operator.index(seed)  # numpy would truncate a float seed silently
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"{name} must lie in [0, 2**64)")
-    return seed
-
-
 def run_batch(
     k_agents: int,
     n_bits: int,
@@ -443,7 +411,7 @@ def run_batch(
     _check_run(k_agents, n_bits)
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    master_seed = _check_seed(master_seed, "master seed")
+    master_seed = check_seed(master_seed, "master seed")
     seeds = np.empty(trials, np.uint64)
     bases = np.empty((k_agents, trials), np.uint64)
     bits = np.empty((k_agents, trials, n_bits), np.uint8)
@@ -459,7 +427,7 @@ def run_batch(
 def _one_trial(k_agents: int, n_bits: int, noise: NoiseModel, seed: int) -> TrialBatch:
     # The run with trial seed `seed`, as a batch of one lane.
     _check_run(k_agents, n_bits)
-    seeds = np.array([_check_seed(seed, "seed")], np.uint64)
+    seeds = np.array([check_seed(seed, "seed")], np.uint64)
     return TrialBatch(seeds, *_run_chunk(seeds, k_agents, n_bits, noise))
 
 
@@ -489,8 +457,8 @@ def run_multiagent(
     so the bit strings and agreement reduce to the two-party record.
     """
     batch = _one_trial(k_agents, n_bits, noise, seed)
-    labels = _resolve_strikes(strikes, n_bits).labels
-    return _multi_record(batch.seeds.tolist()[0], tuple(bit_strings(batch.bits[:, 0])), labels)
+    return _multi_record(batch.seeds.tolist()[0], tuple(bit_strings(batch.bits[:, 0])),
+                         _resolve_strikes(strikes, n_bits))
 
 
 def iter_runs(

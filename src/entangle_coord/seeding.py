@@ -15,8 +15,10 @@ The constants are the standard SplitMix64 ones; an independent
 implementation following the four lines above reproduces the streams
 exactly.  Reference vectors live in ``tests/data/seed_vectors.json``.
 
-Master seeds and stream seeds are 64-bit: anything outside [0, 2**64) is
-rejected rather than reduced, so no two distinct seeds alias one stream.
+Master seeds, stream seeds and trial indices are integers in [0, 2**64):
+:func:`check_seed` is the one check every entry point runs, so anything
+outside that range is rejected rather than reduced, and a float is a
+TypeError rather than truncated; no two distinct inputs alias one stream.
 
 Draw j of a stream is addressed by (seed, j) alone, so the numpy kernels
 here (raw draws, uniforms, rejection-sampled integers and the Fisher-Yates
@@ -25,6 +27,8 @@ shuffle) compute whole blocks or lanes of draws at once and equal what
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -35,12 +39,24 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_seed(value, name: str) -> int:
+    """`value` as a Python int, if it is an integer in [0, 2**64); else raise.
+
+    operator.index refuses a float (TypeError) where int() or numpy would
+    truncate it; `name` starts the ValueError message of an out-of-range value.
+    """
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+    if value > _MASK64:
+        raise ValueError(f"{name} must be below 2**64, got {value}")
+    return value
+
+
 def derive_seed(master: int, index: int) -> int:
     """Return the 64-bit child seed for trial `index` under `master`."""
-    if master < 0 or index < 0:
-        raise ValueError("master seed and trial index must be non-negative")
-    if master > _MASK64:
-        raise ValueError("master seed must be below 2**64")
+    master = check_seed(master, "master seed")
+    index = check_seed(index, "trial index")
     z = (master + (index + 1) * GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -97,8 +113,7 @@ def shuffle(seed: int, n: int) -> tuple[list[int], int]:
     are computed in blocks from their stream positions; only the rejection
     scan runs one draw at a time.
     """
-    if not 0 <= seed <= _MASK64:
-        raise ValueError("seed must lie in [0, 2**64)")
+    seed = check_seed(seed, "seed")
     perm = list(range(n))
     if n < 2:
         return perm, 0
@@ -137,11 +152,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        if seed > _MASK64:
-            raise ValueError("seed must be below 2**64")
-        self._state = seed
+        self._state = check_seed(seed, "seed")
 
     def next_uint64(self) -> int:
         self._state = s = (self._state + GAMMA) & _MASK64

@@ -176,10 +176,10 @@ def run_protocol(
     strikes: StrikeSet | None = None,
 ) -> RunRecord:
     """The two-party record of the run with this seed, read draw by draw."""
-    labels = _resolve_strikes(strikes, n_bits).labels
+    strikes = _resolve_strikes(strikes, n_bits)
     (alice_bits, alice_actions), (bob_bits, bob_actions) = _run_sequential(
         2, n_bits, noise, seed)
-    return _run_record(seed, alice_bits, bob_bits, alice_actions, bob_actions, labels)
+    return _run_record(seed, alice_bits, bob_bits, alice_actions, bob_actions, strikes)
 
 
 def run_multiagent(
@@ -192,6 +192,6 @@ def run_multiagent(
     """The k-agent record of the run with this seed, read draw by draw."""
     if k_agents < 2:
         raise ValueError("need at least 2 agents")
-    labels = _resolve_strikes(strikes, n_bits).labels
+    strikes = _resolve_strikes(strikes, n_bits)
     runs = _run_sequential(k_agents, n_bits, noise, seed)
-    return _multi_record(seed, tuple(agent_bits for agent_bits, _ in runs), labels)
+    return _multi_record(seed, tuple(agent_bits for agent_bits, _ in runs), strikes)

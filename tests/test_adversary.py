@@ -498,3 +498,5 @@ def test_attacks_reject_seeds_outside_64_bits():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             eve_w_attack(1, 1, seed)
+    with pytest.raises(TypeError):
+        eve_w_attack(3, 5, 1.5)  # not truncated to seed 1

@@ -169,8 +169,11 @@ def test_nicd_matches_direct_summation_oracle(m, eps):
 def loop_nicd_m4(eps):
     """The m = 4 best-response search one element at a time: the reference.
 
-    Same weights, the same `signs @ u` product and the same dictator
-    preference as nicd_max_correlation, so every float must match it exactly.
+    Same weights, the same `signs @ u` product for the search maximum and
+    the achiever, and the same dictator preference as nicd_max_correlation;
+    the reported value is the tying dictator pair's exact correlation, one
+    fsum over every cell, so every float must match it exactly on any BLAS
+    kernel.
     """
     m, size, half = 4, 16, 8
     weights = _noise_weights(m, eps)
@@ -188,7 +191,6 @@ def loop_nicd_m4(eps):
     scores = np.abs(w).sum(axis=1)
     best_row = int(np.argmax(scores))
     best = float(scores[best_row])
-    score_of = {t: float(scores[i]) for i, t in enumerate(tables)}
     g_table = 0
     for b in range(size):
         if w[best_row, b] < 0.0:
@@ -197,8 +199,9 @@ def loop_nicd_m4(eps):
                 "description": "exhaustive search maximum (no dictator tie)"}
     for position in range(m):
         table = _dictator_table(m, position)
-        if abs(score_of[table] - best) <= 1e-12:
-            best = score_of[table]
+        value = _pair_correlation(m, table, table, weights, dist)
+        if abs(value - best) <= 1e-12:
+            best = value
             achiever = {"f_table": table, "g_table": table,
                         "description": _describe_dictator(position)}
             break

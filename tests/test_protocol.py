@@ -58,17 +58,9 @@ def test_strike_set_accepts_explicit_labels():
 
 def test_default_strike_set_is_lazy_for_large_n():
     s = default_strike_set(64)
-    assert s.labels[0] == "strike-0000000000000000"
-    assert s.labels[(1 << 64) - 1] == "strike-ffffffffffffffff"
+    assert s.label(0) == "strike-0000000000000000"
+    assert s.label((1 << 64) - 1) == "strike-ffffffffffffffff"
     assert strike_of((1 << 64) - 1, s).startswith("strike-")
-
-
-def test_generated_labels_sequence_behaviour():
-    s = default_strike_set(2)
-    assert list(s.labels[1:3]) == ["strike-1", "strike-2"]
-    assert len(s.labels) == 4
-    with pytest.raises(IndexError):
-        s.labels[4]
 
 
 def test_action_table_requires_issuer_pairing():
@@ -291,7 +283,7 @@ def test_both_tables_jointly_identify_the_strike():
         table = _table(base, 3)
         decoded.append("".join(str(table.index(tok) - 2 * i) for i, tok in enumerate(actions)))
     assert decoded == [rec.alice_bits, rec.bob_bits]
-    assert strikes.labels[action_number(decoded[0])] == rec.strike
+    assert strikes.label(action_number(decoded[0])) == rec.strike
 
 
 # ----------------------------------------------------------- protocol runs

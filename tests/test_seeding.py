@@ -37,7 +37,11 @@ def test_rejects_seeds_beyond_64_bits():
     with pytest.raises(ValueError):
         derive_seed(2**64, 0)
     with pytest.raises(ValueError):
+        derive_seed(5, 2**64)  # not reduced to trial index 0
+    with pytest.raises(ValueError):
         SplitMix64(2**64)
+    with pytest.raises(TypeError):
+        SplitMix64(2.5)
     SplitMix64(2**64 - 1).next_uint64()  # the largest seed is still a seed
 
 
@@ -95,3 +99,5 @@ def test_shuffle_rejects_seeds_outside_64_bits():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             shuffle(seed, 4)
+    with pytest.raises(TypeError):
+        shuffle(1.5, 8)  # not truncated to seed 1
