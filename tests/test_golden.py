@@ -49,6 +49,11 @@ CASES = [
     ["attack", "wolf", "--bits", "3", "--trials", "15", "--seed", "13"],
     # the W attack with several slots per trial
     ["attack", "w", "--bits", "6", "--trials", "30", "--seed", "14"],
+    # the exact NICD value at m = 3 and m = 4; at eps 0.005 a BLAS-reduced
+    # m = 4 value used to depend on the OpenBLAS kernel
+    ["nicd", "--m", "3", "--eps", "0.1"],
+    ["nicd", "--m", "4", "--eps", "0.1"],
+    ["nicd", "--m", "4", "--eps", "0.005"],
 ]
 
 
