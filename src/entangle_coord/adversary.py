@@ -45,17 +45,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qsim
-from .protocol import bit_strings
-from .seeding import check_seed, stream_draws, uniforms
+from .protocol import bit_strings, trial_chunks
+from .seeding import uniforms
 
 GHZ_ATTACK = "GHZ"
 W_ATTACK = "W"
 BISEPARABLE_ATTACK = "Biseparable"
 WOLF_CNOT_ATTACK = "WolfCNOT"
-
-#: The attacks process trials in chunks of at most this many, which bounds
-#: their working memory.
-ATTACK_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -148,14 +144,11 @@ def _three_holder_attack(
         raise ValueError("n_bits must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    seed = check_seed(seed, "master seed")
     levels = _outcome_tree(state, order)
     bits = np.empty((3, trials, n_bits), np.uint8)
-    for start in range(0, trials, ATTACK_CHUNK):
-        seeds = stream_draws(seed, np.arange(start, min(trials, start + ATTACK_CHUNK),
-                                             dtype=np.uint64))
+    for part, seeds in trial_chunks(seed, trials, n_bits):
         counters = np.zeros(len(seeds), np.uint64)  # each trial's next stream position
-        out = bits[:, start : start + len(seeds)]
+        out = bits[:, part]
         for slot in range(n_bits):
             node = np.zeros(len(seeds), np.intp)
             for level, qubit in zip(levels, order):

@@ -221,39 +221,6 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
     )
 
 
-def nicd_no_improvement_certificate(m: int, eps_list) -> list[dict]:
-    """Row-per-eps certificate that local distillation cannot beat 1 - 2*eps.
-
-    Only m <= 3 is accepted: the certificate's claim is an exhaustive
-    enumeration of every function pair, which the m = 4 best-response search
-    does not perform.
-    """
-    if not 1 <= m <= 3:
-        raise ValueError("fully exhaustive certification supports m in 1..3 only")
-    rows = []
-    for eps in eps_list:
-        result = nicd_max_correlation(m, eps)
-        ceiling = 1.0 - 2.0 * eps
-        margin = ceiling - result.max_correlation
-        if margin < -1e-9:
-            raise ValueError(
-                f"distillation ceiling violated at m={m}, eps={eps}: "
-                f"{result.max_correlation} > {ceiling}"
-            )
-        rows.append(
-            {
-                "m": m,
-                "eps": eps,
-                "max_correlation": result.max_correlation,
-                "ceiling": ceiling,
-                "margin": margin,
-                "achiever": result.achiever["description"],
-                "search_size": result.search_size,
-            }
-        )
-    return rows
-
-
 # ----------------------------------------------------------- reconciliation
 
 

@@ -37,23 +37,15 @@ from .analysis import bound_table, nicd_max_correlation, reconcile
 from .protocol import NoiseModel, action_number_counts, bit_strings, run_batch
 from .seeding import check_seed, derive_seed
 
-_SCHEMA_FILE = "report_envelope_v1.json"
-
-
 # ----------------------------------------------------------------- plumbing
-
-
-def load_schema() -> dict:
-    """The JSON schema every envelope printed by this tool conforms to."""
-    path = resources.files("entangle_coord").joinpath(f"schema/{_SCHEMA_FILE}")
-    return json.loads(path.read_text("utf-8"))
 
 
 def validate_envelope(envelope: dict) -> None:
     """Raise if the envelope does not conform to the shipped schema."""
     import jsonschema  # an extra, not a runtime dependency
 
-    jsonschema.validate(envelope, load_schema())
+    schema = resources.files("entangle_coord").joinpath("schema/report_envelope_v1.json")
+    jsonschema.validate(envelope, json.loads(schema.read_text("utf-8")))
 
 
 def _resolve_seed(flag_value: int | None) -> int:

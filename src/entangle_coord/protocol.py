@@ -22,8 +22,8 @@ action number.
 Draw layout.  A run with seed s reads the SplitMix64 stream of s in this
 order, and nothing else:
 
-1. holders: one draw per slot (k = 2, `getrandbits(1)` gives the qubit
-   alice holds), or per slot a Fisher-Yates shuffle of the k qubit
+1. holders: one draw per slot (k = 2, the top bit of one draw gives the
+   qubit alice holds), or per slot a Fisher-Yates shuffle of the k qubit
    positions (k > 2, `randrange` with rejection);
 2. one token base per agent, in agent order;
 3. per agent, in agent order, and per slot, in slot order: a Born draw only
@@ -31,8 +31,9 @@ order, and nothing else:
    the flip probability is positive and the agent is not alice.
 
 Draw j of the run is mix(s + (j + 1) * GAMMA) (see seeding), and trial t of
-a batch has s = derive_seed(master, t).  Seeds, master or trial, pass
-seeding.check_seed: an integer in [0, 2**64), never reduced or truncated.
+a batch has s = derive_seed(master, t), from `trial_chunks`.  Seeds, master
+or trial, pass seeding.check_seed: an integer in [0, 2**64), never reduced
+or truncated.
 One engine follows this contract: `run_batch`, behind `iter_runs` and the
 command line, computes every draw from its (trial seed, position) pair,
 vectorised over trials and slots, and `run_protocol` and `run_multiagent`
@@ -214,26 +215,9 @@ def _agent_names(k: int) -> tuple[str, ...]:
     return _CANONICAL_AGENTS[:k] + tuple(f"agent{i}" for i in range(2, k))
 
 
-def default_strike_set(n_bits: int) -> StrikeSet:
-    """Placeholder strike labels for simulation runs (real sets come from headquarters)."""
-    return StrikeSet(n_bits)
-
-
-def action_number(bits: str) -> int:
-    """Big-endian value of a bit string: position 0 is the most significant bit."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
-    return int(bits, 2)
-
-
-def strike_of(number: int, strikes: StrikeSet) -> str:
-    """Resolve an action number against the strike set."""
-    return strikes.label(number)
-
-
 def _resolve_strikes(strikes: StrikeSet | None, n_bits: int) -> StrikeSet:
     if strikes is None:
-        return default_strike_set(n_bits)
+        return StrikeSet(n_bits)
     if strikes.n_bits != n_bits:
         raise ValueError("strike set size does not match n_bits")
     return strikes
@@ -267,10 +251,30 @@ def _multi_record(seed: int, bits: tuple[str, ...], strikes: StrikeSet) -> Multi
 # ------------------------------------------------------------- batch engine
 
 
-#: The engine processes trials in chunks of at most this many slots (trials x
-#: n_bits, at least one trial); its memory per chunk does not grow with k.
+#: The trial drivers process trials in chunks of at most this many slots
+#: (trials x n_bits, at least one trial); their memory per chunk does not grow with k.
 BATCH_SLOTS = 1 << 13
-_RECORD_CHUNK = 1 << 12
+
+
+def _chunks(trials: int, n_bits: int) -> Iterator[slice]:
+    # Trials 0..trials-1 in chunks of at most BATCH_SLOTS slots each.
+    lanes = max(1, BATCH_SLOTS // n_bits)
+    for start in range(0, trials, lanes):
+        yield slice(start, min(trials, start + lanes))
+
+
+def trial_chunks(
+    master_seed: int, trials: int, n_bits: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(trials, their seeds) for each chunk of trials 0..trials-1 under `master_seed`.
+
+    Trial t's seed is derive_seed(master_seed, t), as uint64.  Every draw is
+    addressed by (trial seed, stream position), so how the trials are split
+    into chunks never changes an output; the chunks only bound memory.
+    """
+    master_seed = check_seed(master_seed, "master seed")
+    for part in _chunks(trials, n_bits):
+        yield part, stream_draws(master_seed, np.arange(part.start, part.stop, dtype=np.uint64))
 
 
 class TrialBatch(NamedTuple):
@@ -291,8 +295,7 @@ class TrialBatch(NamedTuple):
         """
         k, trials, n_bits = self.bits.shape
         strikes = _resolve_strikes(strikes, n_bits)
-        for start in range(0, trials, _RECORD_CHUNK):
-            part = slice(start, start + _RECORD_CHUNK)
+        for part in _chunks(trials, n_bits):
             strings = [bit_strings(agent_bits) for agent_bits in self.bits[:, part]]
             seeds = self.seeds[part].tolist()
             if k == 2:
@@ -411,16 +414,12 @@ def run_batch(
     _check_run(k_agents, n_bits)
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    master_seed = check_seed(master_seed, "master seed")
     seeds = np.empty(trials, np.uint64)
     bases = np.empty((k_agents, trials), np.uint64)
     bits = np.empty((k_agents, trials, n_bits), np.uint8)
-    lanes = max(1, BATCH_SLOTS // n_bits)
-    for start in range(0, trials, lanes):
-        part = slice(start, start + lanes)
-        chunk = seeds[part]
-        chunk[:] = stream_draws(master_seed, np.arange(start, start + len(chunk), dtype=np.uint64))
-        bases[:, part], bits[:, part] = _run_chunk(chunk, k_agents, n_bits, noise)
+    for part, chunk_seeds in trial_chunks(master_seed, trials, n_bits):
+        seeds[part] = chunk_seeds
+        bases[:, part], bits[:, part] = _run_chunk(chunk_seeds, k_agents, n_bits, noise)
     return TrialBatch(seeds, bases, bits)
 
 

@@ -1,10 +1,10 @@
 """Deterministic seed derivation for independent Monte Carlo streams.
 
 Every batch driver in this package derives one child seed per trial from a
-single master seed, so trials are reproducible individually and reorderable
-without sharing generator state.  The mixing function is the SplitMix64
-output stage applied to ``master + (index + 1) * GAMMA`` (all arithmetic
-mod 2**64):
+single master seed, in `protocol.trial_chunks` (with :func:`stream_draws`),
+so trials are reproducible individually and reorderable without sharing
+generator state.  The mixing function is the SplitMix64 output stage applied
+to ``master + (index + 1) * GAMMA`` (all arithmetic mod 2**64):
 
     z = (master + (index + 1) * 0x9E3779B97F4A7C15) mod 2**64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) mod 2**64
@@ -163,12 +163,6 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution."""
         return (self.next_uint64() >> 11) * _UNIT
-
-    def getrandbits(self, k: int) -> int:
-        """Uniform integer in [0, 2**k) for 1 <= k <= 64."""
-        if not 1 <= k <= 64:
-            raise ValueError("k must lie in 1..64")
-        return self.next_uint64() >> (64 - k)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection on the top bits."""

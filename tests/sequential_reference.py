@@ -78,7 +78,7 @@ def _shared_state(k: int) -> qsim.PureState:
 def _fresh_tokens(rng, count: int) -> list[str]:
     # One random 64-bit base per table; consecutive offsets keep the tokens
     # distinct by construction while the base keeps them fresh per run.
-    base = rng.getrandbits(64)
+    base = rng.next_uint64()
     return ["%016x" % ((base + i) & _MASK64) for i in range(count)]
 
 
@@ -90,7 +90,7 @@ def _distribute(k: int, n_bits: int, rng) -> tuple[StateRegistry, list[AgentMemo
         # which side physically holds which qubit of each pair is randomized
         positions = []
         for _ in range(n_bits):
-            p = rng.getrandbits(1)
+            p = rng.next_uint64() >> 63
             positions.append((p, 1 - p))
     else:
         positions = []

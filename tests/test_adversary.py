@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from entangle_coord import cli, qsim
 from entangle_coord.adversary import (
-    ATTACK_CHUNK,
     AttackReport,
     BISEPARABLE_ATTACK,
     GHZ_ATTACK,
@@ -25,7 +24,7 @@ from entangle_coord.adversary import (
     eve_w_attack,
     wolf_cnot_attack,
 )
-from entangle_coord.protocol import bit_strings
+from entangle_coord.protocol import BATCH_SLOTS, bit_strings
 from entangle_coord.seeding import GAMMA, SplitMix64, derive_seed
 
 
@@ -491,7 +490,7 @@ def test_batched_attack_matches_scalar_reference(state, order, n_bits, trials, s
     seed=st.integers(0, 2**64 - 1),
 )
 def test_batched_attack_matches_reference_across_a_chunk_boundary(state, order, n_bits, seed):
-    _assert_batch_matches_reference(state, tuple(order), n_bits, ATTACK_CHUNK + 1, seed)
+    _assert_batch_matches_reference(state, tuple(order), n_bits, BATCH_SLOTS // n_bits + 1, seed)
 
 
 def test_attacks_reject_seeds_outside_64_bits():

@@ -20,7 +20,6 @@ from entangle_coord.analysis import (
     binary_entropy,
     bound_table,
     nicd_max_correlation,
-    nicd_no_improvement_certificate,
     reconcile,
     shannon_length_bound,
 )
@@ -347,22 +346,6 @@ def test_nicd_serialization():
     assert list(d) == ["m", "eps", "max_agreement", "max_correlation",
                        "achiever", "search_size"]
     assert set(d["achiever"]) == {"f_table", "g_table", "description"}
-
-
-def test_certificate_rows_and_margins():
-    rows = nicd_no_improvement_certificate(3, [0.05, 0.1, 0.25])
-    assert len(rows) == 3
-    for row, eps in zip(rows, (0.05, 0.1, 0.25)):
-        assert row["eps"] == eps
-        assert row["ceiling"] == 1.0 - 2.0 * eps
-        assert abs(row["margin"]) <= 1e-9
-        assert "dictator" in row["achiever"]
-        assert row["search_size"] == 65536
-
-
-def test_certificate_requires_exhaustive_regime():
-    with pytest.raises(ValueError):
-        nicd_no_improvement_certificate(4, [0.1])
 
 
 # ----------------------------------------------------------- reconciliation

@@ -92,12 +92,20 @@ def test_chunk_boundaries_never_shift_a_trial(k, n_bits):
     noise = NoiseModel(flip_prob=0.1, misalign_bob=0.4)
     for trials in (lanes + 1, 2 * lanes + 1):
         batch = run_batch(k, n_bits, noise, trials, 77)
+        records = list(batch.records())
+        # the chunks tile the trials, lanes trials at a time, with their seeds
+        chunks = list(protocol.trial_chunks(77, trials, n_bits))
+        assert [part for part, _ in chunks] == [
+            slice(start, min(trials, start + lanes)) for start in range(0, trials, lanes)]
+        assert np.array_equal(np.concatenate([seeds for _, seeds in chunks]), batch.seeds)
         # the trials around each chunk edge, against the sequential reference
         for t in (0, lanes - 1, lanes, trials - 2, trials - 1):
             seed = derive_seed(77, t)
             assert int(batch.seeds[t]) == seed
-            assert tuple(bit_strings(batch.bits[:, t])) == ref.run_multiagent(
-                k, n_bits, noise, seed).bits
+            multi = ref.run_multiagent(k, n_bits, noise, seed)
+            assert tuple(bit_strings(batch.bits[:, t])) == multi.bits
+            # records are built chunk by chunk too
+            assert records[t] == (ref.run_protocol(n_bits, noise, seed) if k == 2 else multi)
         # and a shorter batch holds the same leading trials
         head = run_batch(k, n_bits, noise, lanes - 1, 77)
         assert np.array_equal(head.bits, batch.bits[:, : lanes - 1])

@@ -16,13 +16,10 @@ from entangle_coord.protocol import (
     NoiseModel,
     StateRegistry,
     StrikeSet,
-    action_number,
-    default_strike_set,
     iter_runs,
     run_batch,
     run_multiagent,
     run_protocol,
-    strike_of,
 )
 from entangle_coord.seeding import SplitMix64, derive_seed
 
@@ -52,15 +49,14 @@ def test_strike_set_validates_distinct_labels():
 
 def test_strike_set_accepts_explicit_labels():
     s = StrikeSet(1, ("bridge", "tunnel"))
-    assert strike_of(0, s) == "bridge"
-    assert strike_of(1, s) == "tunnel"
+    assert s.label(0) == "bridge"
+    assert s.label(1) == "tunnel"
 
 
 def test_default_strike_set_is_lazy_for_large_n():
-    s = default_strike_set(64)
+    s = StrikeSet(64)
     assert s.label(0) == "strike-0000000000000000"
     assert s.label((1 << 64) - 1) == "strike-ffffffffffffffff"
-    assert strike_of((1 << 64) - 1, s).startswith("strike-")
 
 
 def test_action_table_requires_issuer_pairing():
@@ -83,22 +79,12 @@ def test_action_table_rejects_empty():
         ActionTable("alice", "carl", ())
 
 
-def test_action_number_big_endian():
-    assert action_number("110") == 6
-    assert action_number("0") == 0
-    assert action_number("00000001") == 1
-    with pytest.raises(ValueError):
-        action_number("")
-    with pytest.raises(ValueError):
-        action_number("012")
-
-
 def test_strike_of_range_checks():
-    s = default_strike_set(2)
+    s = StrikeSet(2)
     with pytest.raises(ValueError):
-        strike_of(4, s)
+        s.label(4)
     with pytest.raises(ValueError):
-        strike_of(-1, s)
+        s.label(-1)
 
 
 def test_noise_model_validation():
@@ -181,7 +167,7 @@ def test_joint_measurement_equal_bits():
         for seed in range(50):
             rng = SplitMix64(seed)
             registry, a_mem, b_mem = distribute_pairs(n_bits, rng)
-            a_tab, b_tab = precommunicate(default_strike_set(n_bits), rng)
+            a_tab, b_tab = precommunicate(StrikeSet(n_bits), rng)
             a_bits, _ = agent_measure(a_mem, a_tab, QUIET, registry, rng)
             b_bits, _ = agent_measure(b_mem, b_tab, QUIET, registry, rng)
             assert a_bits == b_bits
@@ -233,7 +219,7 @@ def test_registry_math_matches_public_operators():
 def test_agent_measure_validates_inputs():
     rng = SplitMix64(1)
     registry, a_mem, b_mem = distribute_pairs(2, rng)
-    a_tab, b_tab = precommunicate(default_strike_set(2), rng)
+    a_tab, b_tab = precommunicate(StrikeSet(2), rng)
     with pytest.raises(ValueError):
         agent_measure(a_mem, b_tab, QUIET, registry, rng)
     short = AgentMemory("alice", (a_mem.slots[0],))
@@ -274,7 +260,7 @@ def test_tokens_are_opaque_and_fresh():
 
 
 def test_both_tables_jointly_identify_the_strike():
-    strikes = default_strike_set(3)
+    strikes = StrikeSet(3)
     batch = run_batch(2, 3, QUIET, 1, 77)
     rec = next(batch.records(strikes))
     # each agent's base and its tokens decode its bits, hence the strike
@@ -283,7 +269,7 @@ def test_both_tables_jointly_identify_the_strike():
         table = _table(base, 3)
         decoded.append("".join(str(table.index(tok) - 2 * i) for i, tok in enumerate(actions)))
     assert decoded == [rec.alice_bits, rec.bob_bits]
-    assert strikes.label(action_number(decoded[0])) == rec.strike
+    assert strikes.label(int(decoded[0], 2)) == rec.strike
 
 
 # ----------------------------------------------------------- protocol runs
@@ -354,7 +340,7 @@ def test_order_independence_chi_squared():
 
     def joint_counts(master_seed, alice_first):
         counts = Counter()
-        strikes = default_strike_set(1)
+        strikes = StrikeSet(1)
         for trial in range(trials):
             rng = SplitMix64(derive_seed(master_seed, trial))
             registry, a_mem, b_mem = distribute_pairs(1, rng)
@@ -400,7 +386,7 @@ def test_run_protocol_validates_arguments():
     with pytest.raises(ValueError):
         run_protocol(0, QUIET, 1)
     with pytest.raises(ValueError):
-        run_protocol(2, QUIET, 1, strikes=default_strike_set(3))
+        run_protocol(2, QUIET, 1, strikes=StrikeSet(3))
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError, match="seed"):
             run_protocol(2, QUIET, seed)
