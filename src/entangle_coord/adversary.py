@@ -39,7 +39,7 @@ report builds the bit strings of its transcripts from it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -54,20 +54,24 @@ BISEPARABLE_ATTACK = "Biseparable"
 WOLF_CNOT_ATTACK = "WolfCNOT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AttackReport:
-    """Per-trial transcripts and aggregate rates for one attack scenario."""
+    """Per-trial transcripts and aggregate rates for one attack scenario.
+
+    The field order is the JSON key order; the attacker's series is
+    `eve_bits` or `wolf_bits`, and the other one stays None.
+    """
 
     kind: str
     n_bits: int
     trials: int
+    eve_bits: tuple[str, ...] | None = None
+    wolf_bits: tuple[str, ...] | None = None
     alice_bits: tuple[str, ...]
     bob_bits: tuple[str, ...]
     eavesdrop_success_rate: float
     agreement_rate: float
     conditional_stats: dict
-    eve_bits: tuple[str, ...] | None = None
-    wolf_bits: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -85,22 +89,9 @@ class AttackReport:
                 raise ValueError("bit strings must have length n_bits")
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "kind": self.kind,
-            "n_bits": self.n_bits,
-            "trials": self.trials,
-        }
         # the report's own tuples: cli.render writes a tuple as a JSON array
-        if self.eve_bits is not None:
-            out["eve_bits"] = self.eve_bits
-        if self.wolf_bits is not None:
-            out["wolf_bits"] = self.wolf_bits
-        out["alice_bits"] = self.alice_bits
-        out["bob_bits"] = self.bob_bits
-        out["eavesdrop_success_rate"] = self.eavesdrop_success_rate
-        out["agreement_rate"] = self.agreement_rate
-        out["conditional_stats"] = dict(self.conditional_stats)
-        return out
+        return {field.name: value for field in fields(self)
+                if (value := getattr(self, field.name)) is not None}
 
 
 class _Level(NamedTuple):

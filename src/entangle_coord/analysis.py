@@ -22,7 +22,7 @@ correlation is 1 - 2*eps, attained by matching dictator functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,12 +63,7 @@ class BoundRow:
             raise ValueError("length floor inconsistent with raw bound")
 
     def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "entropy": self.entropy,
-            "raw_bound": self.raw_bound,
-            "max_error_free_length": self.max_error_free_length,
-        }
+        return asdict(self)
 
 
 def shannon_length_bound(eps: float) -> BoundRow:
@@ -117,14 +112,7 @@ class NicdResult:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "eps": self.eps,
-            "max_agreement": self.max_agreement,
-            "max_correlation": self.max_correlation,
-            "achiever": dict(self.achiever),
-            "search_size": self.search_size,
-        }
+        return asdict(self)
 
 
 def _noise_weights(m: int, eps: float) -> list[float]:
@@ -242,14 +230,7 @@ class ReconcileReport:
             raise ValueError("success flag inconsistent with residual errors")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "errors_before": self.errors_before,
-            "errors_after": self.errors_after,
-            "disclosed_bits": self.disclosed_bits,
-            "passes": self.passes,
-            "success": self.success,
-        }
+        return asdict(self)
 
 
 def _check_bit_string(name: str, value: str) -> None:

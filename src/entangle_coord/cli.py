@@ -84,6 +84,14 @@ def _cmd_run(args: argparse.Namespace) -> dict:
     )
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    # Action numbers print in decimal, and CPython refuses int-to-str
+    # conversions beyond sys.get_int_max_str_digits() digits (0: no limit).
+    # Up to 3 bits per digit always fit, so a raised limit costs no 10**digits.
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and args.bits > 3 * digits and args.bits > (
+            most := (10**digits).bit_length() - 1):
+        raise ValueError(f"--bits {args.bits} exceeds {most}: its action numbers would "
+                         f"pass Python's limit of {digits} digits for printing an integer")
     batch = run_batch(args.agents, args.bits, noise, args.trials, seed)
     slot_agrees = (batch.bits == batch.bits[0]).all(axis=0)  # (trials, bits)
     agree_count = int(slot_agrees.all(axis=1).sum())
@@ -219,50 +227,34 @@ def _cmd_reconcile(args: argparse.Namespace) -> dict:
 # ------------------------------------------------------------- CSV flatten
 
 
-def _csv_run(envelope: dict) -> tuple[list[str], list[list]]:
-    trials = envelope["results"]["trials"]
-    rows = [
-        [number, count, count / trials]
-        for number, count in envelope["results"]["action_number_histogram"].items()
-    ]
-    return ["action_number", "count", "frequency"], rows
-
-
-def _csv_attack(envelope: dict) -> tuple[list[str], list[list]]:
-    r = envelope["results"]
-    row = [r["kind"], r["n_bits"], r["trials"], r["eavesdrop_success_rate"],
-           r["agreement_rate"]]
-    return ["kind", "n_bits", "trials", "eavesdrop_success_rate",
-            "agreement_rate"], [row]
-
-
-def _csv_bound(envelope: dict) -> tuple[list[str], list[list]]:
-    header = ["eps", "entropy", "raw_bound", "max_error_free_length"]
-    return header, [[row[k] for k in header] for row in envelope["results"]]
-
-
-def _csv_nicd(envelope: dict) -> tuple[list[str], list[list]]:
-    r = envelope["results"]
-    row = [r["m"], r["eps"], r["max_agreement"], r["max_correlation"],
-           r["achiever"]["description"], r["search_size"]]
-    return ["m", "eps", "max_agreement", "max_correlation", "achiever",
-            "search_size"], [row]
-
-
-def _csv_reconcile(envelope: dict) -> tuple[list[str], list[list]]:
-    header = ["n", "eps", "trials", "success_rate", "mean_disclosed_bits",
-              "mean_disclosure_rate", "mean_passes"]
-    r = envelope["results"]
-    return header, [[r[k] for k in header]]
-
-
-_CSV_BUILDERS = {
-    "run": _csv_run,
-    "attack": _csv_attack,
-    "bound": _csv_bound,
-    "nicd": _csv_nicd,
-    "reconcile": _csv_reconcile,
+#: The columns of each command's CSV table, as README § Command line lists them.
+_CSV_COLUMNS = {
+    "run": ["action_number", "count", "frequency"],
+    "attack": ["kind", "n_bits", "trials", "eavesdrop_success_rate", "agreement_rate"],
+    "bound": ["eps", "entropy", "raw_bound", "max_error_free_length"],
+    "nicd": ["m", "eps", "max_agreement", "max_correlation", "achiever", "search_size"],
+    "reconcile": ["n", "eps", "trials", "success_rate", "mean_disclosed_bits",
+                  "mean_disclosure_rate", "mean_passes"],
 }
+
+
+def _csv_run(results: dict) -> list[list]:
+    # one row per histogram entry
+    trials = results["trials"]
+    return [[number, count, count / trials]
+            for number, count in results["action_number_histogram"].items()]
+
+
+def _csv_rows(command: str, results) -> list[list]:
+    # The rows under _CSV_COLUMNS[command]: bound's results are a list of
+    # rows, every other command's one row.
+    if command == "run":
+        return _csv_run(results)
+    if command == "nicd":  # the achiever column is the achiever's description
+        results = {**results, "achiever": results["achiever"]["description"]}
+    columns = _CSV_COLUMNS[command]
+    return [[row[c] for c in columns]
+            for row in (results if isinstance(results, list) else [results])]
 
 
 #: The JSON text goes to the output in writes of about this many characters.
@@ -330,11 +322,11 @@ def render(envelope: dict, fmt: str, out) -> None:
         block.append("\n")
         out.write("".join(block))
         return
-    header, rows = _CSV_BUILDERS[envelope["command"]](envelope)
+    command = envelope["command"]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(_CSV_COLUMNS[command])
+    writer.writerows(_csv_rows(command, envelope["results"]))
     out.write(buffer.getvalue())
 
 

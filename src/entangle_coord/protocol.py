@@ -138,17 +138,9 @@ class RunRecord(NamedTuple):
     strike: str
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "alice_bits": self.alice_bits,
-            "bob_bits": self.bob_bits,
-            "alice_actions": list(self.alice_actions),
-            "bob_actions": list(self.bob_actions),
-            "alice_action_number": self.alice_action_number,
-            "bob_action_number": self.bob_action_number,
-            "agree": self.agree,
-            "strike": self.strike,
-        }
+        # the fields in order, with the token tuples as JSON's lists
+        return {**self._asdict(), "alice_actions": list(self.alice_actions),
+                "bob_actions": list(self.bob_actions)}
 
 
 class MultiRunRecord(NamedTuple):
@@ -164,15 +156,14 @@ class MultiRunRecord(NamedTuple):
     strike: str
 
     def to_dict(self) -> dict:
+        # the fields in order; tuples become JSON's lists, and pairwise_agree
+        # a map keyed "i-j"
         return {
-            "seed": self.seed,
-            "n_bits": self.n_bits,
+            **self._asdict(),
             "agents": list(self.agents),
             "bits": list(self.bits),
             "action_numbers": list(self.action_numbers),
             "pairwise_agree": {f"{i}-{j}": agree for i, j, agree in self.pairwise_agree},
-            "all_agree": self.all_agree,
-            "strike": self.strike,
         }
 
 
@@ -391,8 +382,7 @@ def _check_run(k_agents: int, n_bits: int) -> None:
         raise ValueError("need at least 2 agents")
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
-    if k_agents > qsim.QUBIT_CAP:
-        raise ValueError(f"num_qubits={k_agents} exceeds QUBIT_CAP={qsim.QUBIT_CAP}")
+    qsim.check_num_qubits(k_agents)
 
 
 def run_batch(

@@ -50,18 +50,21 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
+def check_num_qubits(num_qubits: int) -> None:
+    """Raise unless a register of `num_qubits` qubits is allowed: 1..QUBIT_CAP."""
+    if num_qubits < 1:
+        raise ValueError("a register needs at least one qubit")
+    if num_qubits > QUBIT_CAP:
+        raise ValueError(f"num_qubits={num_qubits} exceeds QUBIT_CAP={QUBIT_CAP}")
+
+
 class PureState:
     """Normalized amplitude vector over the computational basis."""
 
     __slots__ = ("num_qubits", "amplitudes", "_collapses", "_branches")
 
     def __init__(self, num_qubits: int, amplitudes: Sequence[Amplitude]) -> None:
-        if num_qubits < 1:
-            raise ValueError("a register needs at least one qubit")
-        if num_qubits > QUBIT_CAP:
-            raise ValueError(
-                f"num_qubits={num_qubits} exceeds QUBIT_CAP={QUBIT_CAP}"
-            )
+        check_num_qubits(num_qubits)
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (1 << num_qubits,):
             raise ValueError(
@@ -144,8 +147,7 @@ def _cnot_source(num_qubits: int, control: int, target: int) -> np.ndarray:
 
 def basis_state(num_qubits: int, index: int) -> PureState:
     """|index> on `num_qubits` qubits (big-endian index)."""
-    if num_qubits < 1 or num_qubits > QUBIT_CAP:
-        raise ValueError(f"num_qubits must be in [1, {QUBIT_CAP}]")
+    check_num_qubits(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -164,8 +166,7 @@ def prepare_ghz(num_qubits: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on `num_qubits` >= 2 qubits."""
     if num_qubits < 2:
         raise ValueError("a shared all-or-nothing state needs at least 2 qubits")
-    if num_qubits > QUBIT_CAP:
-        raise ValueError(f"num_qubits={num_qubits} exceeds QUBIT_CAP={QUBIT_CAP}")
+    check_num_qubits(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = amps[-1] = _INV_SQRT2
     return PureState._trusted(num_qubits, amps)
@@ -296,8 +297,7 @@ def is_product(state: PureState, cut: tuple[Iterable[int], Iterable[int]]) -> Pr
 def tensor_product(left: PureState, right: PureState) -> PureState:
     """Concatenate registers; `left`'s qubits become the leading positions."""
     n = left.num_qubits + right.num_qubits
-    if n > QUBIT_CAP:
-        raise ValueError(f"combined register of {n} qubits exceeds QUBIT_CAP={QUBIT_CAP}")
+    check_num_qubits(n)
     return PureState._trusted(n, np.kron(left.amplitudes, right.amplitudes))
 
 

@@ -175,9 +175,3 @@ class SplitMix64:
             v = self.next_uint64() >> (64 - k)
             if v < n:
                 return v
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: :func:`shuffle` from the current state."""
-        perm, used = shuffle(self._state, len(items))
-        items[:] = [items[j] for j in perm]
-        self._state = (self._state + used * GAMMA) & _MASK64

@@ -96,7 +96,9 @@ def _distribute(k: int, n_bits: int, rng) -> tuple[StateRegistry, list[AgentMemo
         positions = []
         for _ in range(n_bits):
             perm = list(range(k))
-            rng.shuffle(perm)
+            for i in range(k - 1, 0, -1):  # Fisher-Yates, one draw at a time
+                j = rng.randrange(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
             positions.append(tuple(perm))
     memories = [
         AgentMemory(name, tuple((i, positions[i][a]) for i in range(n_bits)))

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -245,6 +248,8 @@ def test_largest_seed_is_accepted(capsys, monkeypatch):
     (["run", "--theta-b", "nan"], "misalignment angles must be finite"),
     (["run", "--trials", "0"], "--trials must be at least 1"),
     (["run", "--seed", "-1"], "master seed must be non-negative"),
+    (["run", "--bits", "14285"], "--bits 14285 exceeds 14284: its action numbers would pass "
+                                 "Python's limit of 4300 digits for printing an integer"),
     (["reconcile", "--bits", "0"], "n_bits must be at least 1"),
     (["reconcile", "--eps", "0.6"], "flip_prob must lie in [0, 0.5]"),
     (["reconcile", "--eps", "0"], "eps_hint 0.0 outside (0, 0.5]"),
@@ -291,6 +296,22 @@ def test_domain_errors_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+def test_run_bits_stop_where_action_numbers_stop_printing(capsys):
+    # CPython prints an int of at most sys.get_int_max_str_digits() digits,
+    # 4300 by default: below 2**14284 every action number fits (one bit more
+    # is refused, see test_invalid_protocol_inputs_keep_their_messages).
+    code, out, err = invoke(["run", "--bits", "14284", "--trials", "11"], capsys)
+    assert (code, err) == (0, "")
+    assert max(map(len, json.loads(out)["results"]["action_number_histogram"])) <= 4300
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit, so no check
+    try:
+        code, _, err = invoke(["run", "--bits", "14285"], capsys)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -490,6 +511,27 @@ def test_schema_rejects_malformed_envelopes(capsys):
     envelope["extra"] = 1
     with pytest.raises(jsonschema.ValidationError):
         cli.validate_envelope(envelope)
+
+
+def test_readme_command_line_examples_run(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (commands,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    lines = commands.splitlines()
+    assert len(lines) == 11
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "entangle-coord"
+        code, out, err = invoke(argv, capsys)
+        assert (code, err) == (0, ""), line
+        if "--format" not in argv:
+            cli.validate_envelope(json.loads(out))
+    (envelope,) = re.findall(r"```json\n(.*?)```", section, re.S)
+    _, out, _ = invoke(["nicd", "--m", "2", "--eps", "0.1"], capsys)
+    assert json.loads(envelope) == json.loads(out)
+    # the CSV column table
+    columns = re.findall(r"^\| `(\w+)` +\| `([\w,]+)` +\|$", section, re.M)
+    assert {command: row.split(",") for command, row in columns} == cli._CSV_COLUMNS
 
 
 def test_subprocess_invocation_matches_in_process(capsys):

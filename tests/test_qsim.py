@@ -116,6 +116,11 @@ def test_qubit_cap_enforced():
         basis_state(qsim.QUBIT_CAP + 1, 0)
     with pytest.raises(ValueError):
         prepare_ghz(qsim.QUBIT_CAP + 1)
+    with pytest.raises(ValueError, match="^a register needs at least one qubit$"):
+        basis_state(0, 0)
+    half = qsim.QUBIT_CAP // 2
+    with pytest.raises(ValueError, match=f"^num_qubits={qsim.QUBIT_CAP + 1} exceeds QUBIT_CAP="):
+        tensor_product(prepare_ghz(half), prepare_ghz(qsim.QUBIT_CAP + 1 - half))
 
 
 def test_qubit_cap_is_configurable(monkeypatch):
