@@ -248,11 +248,11 @@ def test_largest_seed_is_accepted(capsys, monkeypatch):
     (["run", "--theta-b", "nan"], "misalignment angles must be finite"),
     (["run", "--trials", "0"], "--trials must be at least 1"),
     (["run", "--seed", "-1"], "master seed must be non-negative"),
-    (["run", "--bits", "14285"], "--bits 14285 exceeds 14284: its action numbers would pass "
-                                 "Python's limit of 4300 digits for printing an integer"),
     (["reconcile", "--bits", "0"], "n_bits must be at least 1"),
     (["reconcile", "--eps", "0.6"], "flip_prob must lie in [0, 0.5]"),
     (["reconcile", "--eps", "0"], "eps_hint 0.0 outside (0, 0.5]"),
+    (["run", "--bits", "14285"], "--bits 14285 exceeds 14284: its action numbers would pass "
+                                 "Python's limit of 4300 digits for printing an integer"),
 ])
 def test_invalid_protocol_inputs_keep_their_messages(argv, message, capsys):
     code, out, err = invoke(argv, capsys)
