@@ -34,6 +34,9 @@ MAX_PASSES = 16
 
 _CASCADE_BLOCK_CONSTANT = 0.73
 
+#: balanced truth tables scored per block of the NICD search
+_NICD_BLOCK = 1024
+
 
 # ----------------------------------------------------------------- entropy
 
@@ -143,6 +146,24 @@ def _describe_dictator(position: int) -> str:
     return f"matching dictator functions on substring position {position}"
 
 
+def _balanced_tables(size: int) -> np.ndarray:
+    # the truth tables on size inputs with size // 2 ones, ascending, found
+    # 4096 candidates at a time: a chunk's arrays are 16 KiB, not 256 KiB
+    found = []
+    for start in range(0, 1 << size, 4096):
+        every = np.arange(start, min(start + 4096, 1 << size), dtype=np.uint32)
+        ones = np.zeros(len(every), np.uint32)
+        for a in range(size):
+            ones += (every >> a) & 1
+        found.append(every[ones == size // 2])
+    return np.concatenate(found)
+
+
+def _sign_rows(tables: np.ndarray, size: int) -> np.ndarray:
+    # row r holds (-1)^f(a) for a = 0 .. size-1, f the truth table tables[r]
+    return 1.0 - 2.0 * ((tables[:, None] >> np.arange(size, dtype=np.uint32)) & 1)
+
+
 def nicd_max_correlation(m: int, eps: float) -> NicdResult:
     """Best correlation of locally distilled fair bits from noisy substrings.
 
@@ -154,13 +175,20 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
     every f is scored against its best response g (the sign of each column
     of w), which no balanced g exceeds.  No sampling anywhere.
 
+    One loop for every m scores the balanced tables in blocks of
+    _NICD_BLOCK rows and keeps a running maximum.  A block's working set is
+    its sign rows and rows of w, 2 * _NICD_BLOCK * 2^m float64 (256 KiB at
+    m = 4), beside the 12 870 balanced tables as uint32; m <= 3 has at most
+    70 tables, one block.
+
     The reported maximum is the exact value of the first matching dictator
     pair that ties the search maximum within 1e-12: math.fsum over every
-    cell, for every m (a dictator is its own best response), so no BLAS
-    reduction reaches the printed value; the search maximum only decides
-    the tie.  A dictator always ties: by Witsenhausen's maximal-correlation
-    bound no balanced f and +-1 g correlate beyond 1 - 2*eps over m
-    independent BSC(eps) positions, and matching dictators reach it.  So no dictator tying means the search
+    cell of the dictator's own sign row, for every m (a dictator is its own
+    best response), so no BLAS reduction reaches the printed value; the
+    search maximum only decides the tie.  A dictator always ties: by
+    Witsenhausen's maximal-correlation bound no balanced f and +-1 g
+    correlate beyond 1 - 2*eps over m independent BSC(eps) positions, and
+    matching dictators reach it.  So no dictator tying means the search
     itself is wrong, and RuntimeError is raised rather than an unproven
     achiever reported.
     """
@@ -170,25 +198,19 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
         raise ValueError(f"eps {eps!r} outside [0, 0.5]")
     size = 1 << m
     u = np.take(_noise_weights(m, eps), _distance_table(m))
-    every = np.arange(1 << size, dtype=np.uint32)
-    ones = np.zeros(1 << size, np.uint32)
-    for a in range(size):
-        ones += (every >> a) & 1
-    tables = every[ones == size // 2]  # the balanced truth tables, ascending
-    signs = 1.0 - 2.0 * ((tables[:, None] >> np.arange(size, dtype=np.uint32)) & 1)
-    w = signs @ u
+    tables = _balanced_tables(size)
+    partners = _sign_rows(tables, size).T if m <= 3 else None
+    best = -math.inf
+    for start in range(0, len(tables), _NICD_BLOCK):
+        w = _sign_rows(tables[start:start + _NICD_BLOCK], size) @ u
+        scores = np.abs(w, out=w).sum(axis=1) if partners is None else w @ partners
+        best = max(best, float(scores.max()))
+    search_size = 1 << (2 * size) if m <= 3 else 1 << size
     dictators = [_dictator_table(m, position) for position in range(m)]
-    rows = np.searchsorted(tables, dictators)
     # fsum is exact and independent of order and of the BLAS kernel: the
     # sum of every cell's +-P(a, b)
-    values = [math.fsum((u * np.outer(s, s)).flat) for s in signs[rows]]
-    if m <= 3:
-        best = (w @ signs.T).max()
-        search_size = 1 << (2 * size)
-    else:
-        best = np.abs(w, out=w).sum(axis=1).max()
-        search_size = 1 << size
-
+    values = [math.fsum((u * np.outer(s, s)).flat)
+              for s in _sign_rows(np.array(dictators, np.uint32), size)]
     for position, (table, value) in enumerate(zip(dictators, values)):
         if abs(value - best) <= 1e-12:
             return NicdResult(
@@ -204,7 +226,7 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
                 search_size=search_size,
             )
     raise RuntimeError(
-        f"no matching dictator ties the NICD search maximum {float(best)!r} "
+        f"no matching dictator ties the NICD search maximum {best!r} "
         f"at m={m}, eps={eps!r}"
     )
 
@@ -238,6 +260,12 @@ def _check_bit_string(name: str, value: str) -> None:
         raise ValueError(f"{name} must be a non-empty bit string")
 
 
+def check_eps_hint(eps_hint: float) -> None:
+    """Raise ValueError unless eps_hint lies in (0, 0.5], as reconcile requires."""
+    if not 0.0 < eps_hint <= 0.5:
+        raise ValueError(f"eps_hint {eps_hint!r} outside (0, 0.5]")
+
+
 def _pass_order(seed: int, pass_number: int, n: int) -> np.ndarray:
     perm, _ = shuffle(derive_seed(seed, pass_number), n)
     return np.array(perm)
@@ -266,8 +294,7 @@ def reconcile(
     _check_bit_string("bob", bob)
     if len(alice) != len(bob):
         raise ValueError("strings must have equal length")
-    if not 0.0 < eps_hint <= 0.5:
-        raise ValueError(f"eps_hint {eps_hint!r} outside (0, 0.5]")
+    check_eps_hint(eps_hint)
     n = len(alice)
     a = np.frombuffer(alice.encode("ascii"), np.uint8) - 48
     d = a ^ (np.frombuffer(bob.encode("ascii"), np.uint8) - 48)

@@ -33,7 +33,7 @@ from .adversary import (
     eve_w_attack,
     wolf_cnot_attack,
 )
-from .analysis import bound_table, nicd_max_correlation, reconcile
+from .analysis import bound_table, check_eps_hint, nicd_max_correlation, reconcile
 from .protocol import NoiseModel, action_number_counts, bit_strings, run_batch
 from .seeding import check_seed, derive_seed
 
@@ -194,6 +194,7 @@ def _cmd_reconcile(args: argparse.Namespace) -> dict:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     noise = NoiseModel(flip_prob=args.eps)
+    check_eps_hint(args.eps)  # a bad hint fails before the trials run
     # one protocol run per trial supplies the noisy string pair
     batch = run_batch(2, args.bits, noise, args.trials, seed)
     alice, bob = (bit_strings(agent_bits) for agent_bits in batch.bits)

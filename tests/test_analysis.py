@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,28 @@ def loop_nicd_small(m, eps):
 )
 def test_nicd_small_matches_the_loop_reference(m, eps):
     assert nicd_max_correlation(m, eps).to_dict() == loop_nicd_small(m, eps)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.27, 0.5, 5e-324])
+def test_nicd_block_size_does_not_change_the_result(monkeypatch, m, eps):
+    expected = loop_nicd_m4(eps) if m == 4 else loop_nicd_small(m, eps)
+    for block in (1, 7, 1 << 14):  # 1 << 14 exceeds every table count
+        monkeypatch.setattr(analysis, "_NICD_BLOCK", block)
+        assert nicd_max_correlation(m, eps).to_dict() == expected
+
+
+def test_nicd_memory_is_one_block_not_the_whole_search():
+    # the whole m = 4 search at once peaked at 3.8 MiB: 12 870 x 16 signs
+    # and w, and their temporaries
+    nicd_max_correlation(4, 0.1)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        nicd_max_correlation(4, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20)
 
 
 def test_nicd_raises_when_no_dictator_ties_the_maximum(monkeypatch, capsys):

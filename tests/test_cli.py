@@ -260,6 +260,15 @@ def test_invalid_protocol_inputs_keep_their_messages(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_reconcile_checks_the_eps_hint_before_any_trial(monkeypatch, capsys):
+    def no_trials(*args):
+        raise AssertionError("trials ran before the eps hint was checked")
+
+    monkeypatch.setattr(cli, "run_batch", no_trials)
+    code, out, err = invoke(["reconcile", "--eps", "0", "--trials", "1000000000"], capsys)
+    assert (code, out, err) == (2, "", "error: eps_hint 0.0 outside (0, 0.5]\n")
+
+
 # -------------------------------------------------------------- exit codes
 
 
