@@ -33,19 +33,22 @@ gives every node's two children and the p0 a draw is compared with, and
 then computes every draw from its (trial seed, stream position) pair,
 vectorised over trials.  The bits land in one (3, trials, n_bits) uint8
 array, and every count behind a report's rates (matching strings, joint
-outcomes, Eve's zeros, Wolf's matches) is taken from that array; the
-report builds the bit strings of its transcripts from it once.
+outcomes, Eve's zeros, Wolf's matches) is taken from that array, and the
+report's transcripts are read-only BitRows views of it: a bit string is
+built only when one is asked for.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qsim
-from .protocol import bit_strings, trial_chunks
+from .protocol import _chunks, bit_strings, trial_chunks
 from .seeding import uniforms
 
 GHZ_ATTACK = "GHZ"
@@ -54,21 +57,71 @@ BISEPARABLE_ATTACK = "Biseparable"
 WOLF_CNOT_ATTACK = "WolfCNOT"
 
 
+class BitRows(Sequence):
+    """One holder's transcripts: the rows of a (trials, n_bits) 0/1 array as bit strings.
+
+    A read-only view of the array, not a copy; indexing and iteration build
+    the strings on demand, and it equals a tuple of the same strings.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: np.ndarray) -> None:
+        if bits.ndim != 2 or bits.dtype != np.uint8:
+            raise ValueError("transcripts must be a (trials, n_bits) uint8 array")
+        if bits.size and bits.max() > 1:
+            raise ValueError("bit strings must hold only the characters 0 and 1")
+        self.bits = bits.view()
+        self.bits.flags.writeable = False
+
+    @classmethod
+    def from_strings(cls, strings: Sequence[str], n_bits: int) -> BitRows:
+        """The rows of equal-length bit strings; ValueError for any other string."""
+        if not all(map(n_bits.__eq__, map(len, strings))):
+            raise ValueError("bit strings must have length n_bits")
+        text = "".join(strings).encode("ascii", "replace")  # "?" for non-ASCII
+        return cls(np.frombuffer(text, np.uint8).reshape(len(strings), n_bits) - 48)
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return BitRows(self.bits[index])
+        return (self.bits[operator.index(index)] + 48).tobytes().decode("ascii")
+
+    def __iter__(self):
+        for part in _chunks(*self.bits.shape):
+            yield from bit_strings(self.bits[part])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BitRows):
+            return np.array_equal(self.bits, other.bits)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        trials, n_bits = self.bits.shape
+        return f"BitRows(trials={trials}, n_bits={n_bits})"
+
+
 @dataclass(frozen=True, kw_only=True)
 class AttackReport:
     """Per-trial transcripts and aggregate rates for one attack scenario.
 
     The field order is the JSON key order; the attacker's series is
-    `eve_bits` or `wolf_bits`, and the other one stays None.
+    `eve_bits` or `wolf_bits`, and the other one stays None.  Each series
+    may be given as any sequence of bit strings and is kept as BitRows.
     """
 
     kind: str
     n_bits: int
     trials: int
-    eve_bits: tuple[str, ...] | None = None
-    wolf_bits: tuple[str, ...] | None = None
-    alice_bits: tuple[str, ...]
-    bob_bits: tuple[str, ...]
+    eve_bits: BitRows | None = None
+    wolf_bits: BitRows | None = None
+    alice_bits: BitRows
+    bob_bits: BitRows
     eavesdrop_success_rate: float
     agreement_rate: float
     conditional_stats: dict
@@ -81,15 +134,23 @@ class AttackReport:
         for rate in (self.eavesdrop_success_rate, self.agreement_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate {rate!r} outside [0, 1]")
-        attacker = self.eve_bits if self.eve_bits is not None else self.wolf_bits
-        for series in (self.alice_bits, self.bob_bits, attacker):
-            if series is None or len(series) != self.trials:
+        if (self.eve_bits is None) == (self.wolf_bits is None):
+            raise ValueError("exactly one of eve_bits and wolf_bits must be given")
+        attacker = "eve_bits" if self.wolf_bits is None else "wolf_bits"
+        for name in (attacker, "alice_bits", "bob_bits"):
+            series = getattr(self, name)
+            if not isinstance(series, BitRows):
+                series = BitRows.from_strings(series, self.n_bits)
+                object.__setattr__(self, name, series)
+            rows, n_bits = series.bits.shape
+            if rows != self.trials:
                 raise ValueError("per-trial series must have one entry per trial")
-            if not all(map(self.n_bits.__eq__, map(len, series))):
+            if n_bits != self.n_bits:
                 raise ValueError("bit strings must have length n_bits")
 
     def to_dict(self) -> dict:
-        # the report's own tuples: cli.render writes a tuple as a JSON array
+        # the report's own BitRows: cli.render writes them as JSON arrays
+        # straight from the bits; json.dumps needs default=list for them
         return {field.name: value for field in fields(self)
                 if (value := getattr(self, field.name)) is not None}
 
@@ -160,10 +221,12 @@ def _three_holder_attack(
 def _joint_counts(*holders: np.ndarray) -> list[int]:
     # How many slots saw each joint outcome of the listed holders' bits,
     # indexed by those bits read as a binary number, first holder highest.
+    # Counted code by code: np.bincount would widen the uint8 codes to
+    # 8-byte integers, the largest array an attack would allocate.
     code = np.zeros(holders[0].shape, np.uint8)
     for bits in holders:
         code = 2 * code + bits
-    return np.bincount(code.ravel(), minlength=1 << len(holders)).tolist()
+    return [int(np.count_nonzero(code == k)) for k in range(1 << len(holders))]
 
 
 def _same_strings(x: np.ndarray, y: np.ndarray) -> int:
@@ -181,7 +244,7 @@ def _report(
     # in that order.
     x, a, b = bits
     trials, n_bits = a.shape
-    attacker, alice, bob = (tuple(bit_strings(holder)) for holder in bits)
+    attacker, alice, bob = map(BitRows, bits)
     return AttackReport(
         kind=kind,
         n_bits=n_bits,

@@ -28,6 +28,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .adversary import (
+    BitRows,
     biseparable_attack,
     eve_ghz_attack,
     eve_w_attack,
@@ -280,14 +281,16 @@ def _json_pieces(value, indent: str):
             yield from _json_pieces(item, inner)
             opening = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, BitRows)):
         if not value:
             yield "[]"
             return
         inner = indent + "  "
         separator = ",\n" + inner
         yield "[\n" + inner
-        if set(map(type, value)) == {str}:  # per-trial transcripts: escaped in C
+        if isinstance(value, BitRows):  # per-trial transcripts: text from the bits
+            yield from _bit_row_pieces(value.bits, separator)
+        elif set(map(type, value)) == {str}:  # e.g. a record's tokens: escaped in C
             for start in range(0, len(value), _STRING_RUN):
                 if start:
                     yield separator
@@ -301,6 +304,31 @@ def _json_pieces(value, indent: str):
         yield "\n" + indent + "]"
     else:
         yield json.dumps(value)
+
+
+def _bit_row_pieces(bits, separator: str):
+    # The items of a JSON array of the rows of a (trials, n_bits) 0/1 uint8
+    # array as strings, about RENDER_BLOCK characters to a piece: each row is
+    # separator + '"' + its bits as "0"/"1" + '"', with no separator before
+    # the first row.  Bit strings need no escaping.
+    # numpy is imported here, as in _parse_grid: imported at the top of cli,
+    # it loads before the package's own modules, and that measurably raised
+    # the peak RSS of `run`, which renders no transcripts
+    import numpy as np
+
+    trials, n_bits = bits.shape
+    lead = np.frombuffer((separator + '"').encode("ascii"), np.uint8)
+    width = len(lead) + n_bits + 1
+    rows = max(1, RENDER_BLOCK // width)
+    lines = np.empty((min(rows, trials), width), np.uint8)
+    lines[:, : len(lead)] = lead
+    lines[:, -1] = ord('"')
+    skip = len(separator)
+    for start in range(0, trials, rows):
+        block = lines[: min(rows, trials - start)]
+        np.add(bits[start : start + rows], 48, out=block[:, len(lead) : -1])
+        yield block.tobytes().decode("ascii")[skip:]
+        skip = 0
 
 
 def render(envelope: dict, fmt: str, out) -> None:

@@ -14,6 +14,7 @@ from entangle_coord import cli, qsim
 from entangle_coord.adversary import (
     AttackReport,
     BISEPARABLE_ATTACK,
+    BitRows,
     GHZ_ATTACK,
     W_ATTACK,
     WOLF_CNOT_ATTACK,
@@ -241,6 +242,75 @@ def test_attack_report_validates_fields():
             conditional_stats={},
             eve_bits=("0",),
         )
+    for attacker in ({"eve_bits": ("1",), "wolf_bits": ("0",)}, {}):
+        # exactly one attacker series
+        with pytest.raises(ValueError, match="exactly one"):
+            AttackReport(
+                kind=W_ATTACK,
+                n_bits=1,
+                trials=1,
+                alice_bits=("0",),
+                bob_bits=("0",),
+                eavesdrop_success_rate=1.0,
+                agreement_rate=1.0,
+                conditional_stats={},
+                **attacker,
+            )
+
+
+def _report_with(alice_bits, n_bits=1):
+    return AttackReport(
+        kind=W_ATTACK,
+        n_bits=n_bits,
+        trials=len(alice_bits),
+        alice_bits=alice_bits,
+        bob_bits=alice_bits,
+        eavesdrop_success_rate=1.0,
+        agreement_rate=1.0,
+        conditional_stats={},
+        wolf_bits=alice_bits,
+    )
+
+
+@pytest.mark.parametrize("strings", [("2", "x"), ("0", "1", " "), ("/",), ("\u0130",),
+                                     ("01", "0\x00"), ("10", "1\ud800")])
+def test_attack_report_rejects_characters_other_than_bits(strings):
+    with pytest.raises(ValueError, match="only the characters 0 and 1"):
+        _report_with(strings, n_bits=len(strings[0]))
+
+
+def test_attack_report_keeps_given_strings_as_bit_rows():
+    strings = ("0110", "1111", "0000")
+    report = _report_with(strings, n_bits=4)
+    for series in (report.wolf_bits, report.alice_bits, report.bob_bits):
+        assert isinstance(series, BitRows)
+        assert series == strings
+        assert series.bits.tolist() == [[int(c) for c in s] for s in strings]
+    assert report == _report_with(BitRows(report.alice_bits.bits), n_bits=4)
+
+
+def test_bit_rows_behave_as_a_sequence_of_strings():
+    bits = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1]], np.uint8)
+    rows = BitRows(bits)
+    strings = ("011", "100", "111")
+    assert len(rows) == 3
+    assert rows[-1] == "111" and rows[0] == "011" and rows[np.int64(1)] == "100"
+    assert rows[1:] == strings[1:]
+    assert list(rows) == list(strings) == list(reversed(rows[::-1]))
+    assert rows == strings and strings == rows
+    assert rows == BitRows(bits.copy())
+    assert rows != ("011", "100", "110") and rows != strings[:2] and rows != list(strings)
+    assert rows.count("100") == 1 and "111" in rows and rows.index("111") == 2
+    with pytest.raises(IndexError):
+        rows[3]
+    # a read-only view: the transcripts cannot change under a report
+    assert np.shares_memory(rows.bits, bits)
+    with pytest.raises(ValueError):
+        rows.bits[0, 0] = 1
+    bits[0, 0] = 1  # the driver's own array stays writable
+    for bad in (bits.astype(np.int64), bits[0], bits + 1):
+        with pytest.raises(ValueError):
+            BitRows(bad)
 
 
 def test_report_serialization_shape():
@@ -257,12 +327,12 @@ def test_report_serialization_shape():
         "agreement_rate",
         "conditional_stats",
     ]
-    json.dumps(d)
+    json.dumps(d, default=list)
 
     wolf_report = wolf_cnot_attack(1, 5, 0, 2)
     d = wolf_report.to_dict()
     assert "wolf_bits" in d and "eve_bits" not in d
-    json.dumps(d)
+    json.dumps(d, default=list)
 
 
 # --------------------------------------------------------------- properties
@@ -360,7 +430,7 @@ def test_attack_exact_invariants_hold_for_every_input(
     cli.render(args.handler(args), "json", text)
     envelope = json.loads(text.getvalue())
     cli.validate_envelope(envelope)
-    assert envelope["results"] == json.loads(json.dumps(report.to_dict()))
+    assert envelope["results"] == json.loads(json.dumps(report.to_dict(), default=list))
 
 
 # ----------------------------------------- batched attacks vs slot by slot

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
@@ -13,11 +14,13 @@ import warnings
 from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entangle_coord import cli
+from entangle_coord.adversary import BitRows
 from entangle_coord.qsim import QUBIT_CAP
 
 
@@ -605,9 +608,70 @@ def test_render_never_holds_the_whole_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    expected = json.dumps(envelope, indent=2) + "\n"
+    expected = json.dumps(envelope, indent=2, default=list) + "\n"
     assert sink.chars == len(expected)
     assert peak < 2 * sink.chars
     out = io.StringIO()
     cli.render(envelope, "json", out)
     assert out.getvalue() == expected
+
+
+def test_attack_transcripts_render_without_a_string_per_trial():
+    # built and rendered: the transcripts cost bytes per slot, not objects
+    trials = 2**18
+    sink = _CharCounter()
+    tracemalloc.start()
+    try:
+        args = cli.build_parser().parse_args(
+            ["attack", "w", "--bits", "1", "--trials", str(trials)])
+        cli.render(args.handler(args), "json", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 3 * len('    "0",\n') * trials
+    assert peak < 16 * trials
+
+
+# (trials, n_bits): one slot, rows crossing RENDER_BLOCK boundaries, one row
+# longer than RENDER_BLOCK, and small shapes for small patched blocks
+_BIT_SHAPES = st.sampled_from(
+    [(1, 1), (cli.RENDER_BLOCK // 6 + 5, 5), (2, cli.RENDER_BLOCK + 3)]
+) | st.tuples(st.integers(1, 40), st.integers(1, 70))
+
+
+@st.composite
+def _bit_rows_and_strings(draw):
+    shape = draw(_BIT_SHAPES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2, shape, dtype=np.uint8)
+    return BitRows(bits), ["".join(map(str, row)) for row in bits.tolist()]
+
+
+def _pair_lists(items):
+    return [value for value, _ in items], [plain for _, plain in items]
+
+
+def _pair_dicts(items):
+    return ({key: value for key, (value, _) in items.items()},
+            {key: plain for key, (_, plain) in items.items()})
+
+
+# (tree, the same tree with plain string lists in place of BitRows)
+_BIT_TREES = st.dictionaries(_TEXT, st.recursive(
+    _bit_rows_and_strings() | _SCALARS.map(lambda value: (value, value)),
+    lambda inner: (st.lists(inner, max_size=4).map(_pair_lists)
+                   | st.dictionaries(_TEXT, inner, max_size=4).map(_pair_dicts)),
+    max_leaves=6,
+), max_size=4).map(_pair_dicts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees=_BIT_TREES, block=st.just(cli.RENDER_BLOCK) | st.integers(1, 80))
+def test_render_writes_bit_rows_as_json_dumps_writes_their_strings(trees, block):
+    tree, plain = trees
+    out = io.StringIO()
+    with mock.patch.object(cli, "RENDER_BLOCK", block):
+        cli.render(tree, "json", out)
+    text, expected = out.getvalue(), json.dumps(plain, indent=2) + "\n"
+    # where the texts part, not a diff: pytest's diff of such texts takes minutes
+    assert len(os.path.commonprefix([text, expected])) == len(text) == len(expected)
