@@ -34,76 +34,25 @@ then computes every draw from its (trial seed, stream position) pair,
 vectorised over trials.  The bits land in one (3, trials, n_bits) uint8
 array, and every count behind a report's rates (matching strings, joint
 outcomes, Eve's zeros, Wolf's matches) is taken from that array, and the
-report's transcripts are read-only BitRows views of it: a bit string is
-built only when one is asked for.
+report's transcripts are read-only views of it, `protocol.BitRows`, also
+importable from here: a bit string is built only when one is asked for.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qsim
-from .protocol import _chunks, bit_strings, trial_chunks
+from .protocol import BitRows, trial_chunks
 from .seeding import uniforms
 
 GHZ_ATTACK = "GHZ"
 W_ATTACK = "W"
 BISEPARABLE_ATTACK = "Biseparable"
 WOLF_CNOT_ATTACK = "WolfCNOT"
-
-
-class BitRows(Sequence):
-    """One holder's transcripts: the rows of a (trials, n_bits) 0/1 array as bit strings.
-
-    A read-only view of the array, not a copy; indexing and iteration build
-    the strings on demand, and it equals a tuple of the same strings.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: np.ndarray) -> None:
-        if bits.ndim != 2 or bits.dtype != np.uint8:
-            raise ValueError("transcripts must be a (trials, n_bits) uint8 array")
-        if bits.size and bits.max() > 1:
-            raise ValueError("bit strings must hold only the characters 0 and 1")
-        self.bits = bits.view()
-        self.bits.flags.writeable = False
-
-    @classmethod
-    def from_strings(cls, strings: Sequence[str], n_bits: int) -> BitRows:
-        """The rows of equal-length bit strings; ValueError for any other string."""
-        if not all(map(n_bits.__eq__, map(len, strings))):
-            raise ValueError("bit strings must have length n_bits")
-        text = "".join(strings).encode("ascii", "replace")  # "?" for non-ASCII
-        return cls(np.frombuffer(text, np.uint8).reshape(len(strings), n_bits) - 48)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return BitRows(self.bits[index])
-        return (self.bits[operator.index(index)] + 48).tobytes().decode("ascii")
-
-    def __iter__(self):
-        for part in _chunks(*self.bits.shape):
-            yield from bit_strings(self.bits[part])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BitRows):
-            return np.array_equal(self.bits, other.bits)
-        if isinstance(other, tuple):
-            return len(other) == len(self) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        trials, n_bits = self.bits.shape
-        return f"BitRows(trials={trials}, n_bits={n_bits})"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -318,21 +267,19 @@ def biseparable_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     return _report(BISEPARABLE_ATTACK, bits, {
         "eve_one_rate": int(np.count_nonzero(eve)) / slots,
         "alice_bob_joint": {f"{k:02b}": count / slots for k, count in enumerate(joint)},
-        "correlation_eve_alice": _pearson(eve.ravel().tolist(), alice.ravel().tolist()),
+        "correlation_eve_alice": _pearson(eve, alice),
     })
 
 
-def _pearson(xs: list[int], ys: list[int]) -> float:
-    # correlation with the convention that a constant series correlates 0.0
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
-    if vx == 0.0 or vy == 0.0:
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    # The correlation of two 0/1 arrays from exact counts, with the
+    # convention that a constant series correlates 0.0.
+    n = x.size
+    sx, sy = int(np.count_nonzero(x)), int(np.count_nonzero(y))
+    vx, vy = n * sx - sx * sx, n * sy - sy * sy  # n**2 times each variance
+    if not vx or not vy:
         return 0.0
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return cov / (vx * vy) ** 0.5
+    return (n * int(np.count_nonzero(x & y)) - sx * sy) / (vx * vy) ** 0.5
 
 
 def build_wolf_triple(target_bit: int) -> qsim.PureState:

@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .protocol import BitRows, row_text
 from .seeding import derive_seed, shuffle
 
 #: reconciliation refuses to loop beyond this many passes
@@ -255,11 +256,6 @@ class ReconcileReport:
         return asdict(self)
 
 
-def _check_bit_string(name: str, value: str) -> None:
-    if not value or value.strip("01"):  # a character other than 0 and 1 is left
-        raise ValueError(f"{name} must be a non-empty bit string")
-
-
 def check_eps_hint(eps_hint: float) -> None:
     """Raise ValueError unless eps_hint lies in (0, 0.5], as reconcile requires."""
     if not 0.0 < eps_hint <= 0.5:
@@ -274,7 +270,7 @@ def _pass_order(seed: int, pass_number: int, n: int) -> np.ndarray:
 def reconcile(
     alice: str, bob: str, eps_hint: float, seed: int
 ) -> tuple[ReconcileReport, str, str]:
-    """Block-parity reconciliation of bob's string toward alice's.
+    """Block-parity reconciliation of bob's bit string toward alice's, of equal length.
 
     Two standard passes: consecutive blocks of k1 = max(2, round(0.73/eps))
     (clamped to n), then a seed-derived permutation with doubled blocks.
@@ -290,14 +286,10 @@ def reconcile(
     n): it reads positions 0, 1, ... of that stream.  Every parity is taken
     of the difference vector a ^ b, the only thing the passes depend on.
     """
-    _check_bit_string("alice", alice)
-    _check_bit_string("bob", bob)
-    if len(alice) != len(bob):
-        raise ValueError("strings must have equal length")
+    a, b = BitRows.from_strings((alice, bob), len(alice)).bits
     check_eps_hint(eps_hint)
     n = len(alice)
-    a = np.frombuffer(alice.encode("ascii"), np.uint8) - 48
-    d = a ^ (np.frombuffer(bob.encode("ascii"), np.uint8) - 48)
+    d = a ^ b
     errors_before = int(np.count_nonzero(d))
     disclosed = 0
 
@@ -340,4 +332,4 @@ def reconcile(
         passes=passes,
         success=errors_after == 0,
     )
-    return report, alice, ((a ^ d) + 48).tobytes().decode("ascii")
+    return report, alice, row_text(a ^ d)

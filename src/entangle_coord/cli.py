@@ -3,10 +3,12 @@
 Output contract: a single JSON envelope (or, with --format csv, the primary
 table flattened to CSV) on standard output; diagnostics on standard error
 only.  The JSON text is json.dumps(envelope, indent=2) plus a newline,
-written in blocks as it is built.  Identical invocations produce
-byte-identical output — the envelope carries no timestamps and every map is
-built in a fixed key order.  Exit
-codes: 0 success, 2 argument error, 1 internal invariant violation.
+written in blocks as it is built; bit strings held as protocol.BitRows (the
+attack transcripts) are written straight from their bits by
+protocol.row_text.  Identical invocations produce byte-identical output —
+the envelope carries no timestamps and every map is built in a fixed key
+order.  Exit codes: 0 success, 2 argument error, 1 internal invariant
+violation.
 
 The master seed comes from --seed, else from the ENTANGLE_COORD_SEED
 environment variable, else 0.  Per-trial seeds are derived with the package's
@@ -27,15 +29,9 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .adversary import (
-    BitRows,
-    biseparable_attack,
-    eve_ghz_attack,
-    eve_w_attack,
-    wolf_cnot_attack,
-)
+from .adversary import biseparable_attack, eve_ghz_attack, eve_w_attack, wolf_cnot_attack
 from .analysis import bound_table, check_eps_hint, nicd_max_correlation, reconcile
-from .protocol import NoiseModel, action_number_counts, bit_strings, run_batch
+from .protocol import BitRows, NoiseModel, action_number_counts, bit_strings, row_text, run_batch
 from .seeding import check_seed, derive_seed
 
 # ----------------------------------------------------------------- plumbing
@@ -261,74 +257,41 @@ def _csv_rows(command: str, results) -> list[list]:
 
 #: The JSON text goes to the output in writes of about this many characters.
 RENDER_BLOCK = 1 << 16
-#: A list of strings is escaped this many items to a piece.
-_STRING_RUN = 1 << 10
 
 
 def _json_pieces(value, indent: str):
     # The text of json.dumps(value, indent=2) piece by piece, for a value
     # that starts on a line indented by `indent`.
-    if isinstance(value, str):
-        yield encode_basestring_ascii(value)
-    elif isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        inner = indent + "  "
+    if not isinstance(value, (dict, list, tuple, BitRows)) or not len(value):
+        # a string, number, None or empty container (json.dumps cannot write BitRows)
+        yield "[]" if type(value) is BitRows else json.dumps(value)
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
         opening = "{\n" + inner
         for key, item in value.items():
             yield opening + encode_basestring_ascii(key) + ": "
             yield from _json_pieces(item, inner)
             opening = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(value, (list, tuple, BitRows)):
-        if not value:
-            yield "[]"
-            return
-        inner = indent + "  "
-        separator = ",\n" + inner
-        yield "[\n" + inner
-        if isinstance(value, BitRows):  # per-trial transcripts: text from the bits
-            yield from _bit_row_pieces(value.bits, separator)
-        elif set(map(type, value)) == {str}:  # e.g. a record's tokens: escaped in C
-            for start in range(0, len(value), _STRING_RUN):
-                if start:
-                    yield separator
-                yield separator.join(
-                    map(encode_basestring_ascii, value[start : start + _STRING_RUN]))
-        else:
-            for index, item in enumerate(value):
-                if index:
-                    yield separator
-                yield from _json_pieces(item, inner)
-        yield "\n" + indent + "]"
+        return
+    separator = ",\n" + inner
+    yield "[\n" + inner
+    if isinstance(value, BitRows):  # per-trial transcripts: text straight from the bits
+        # about RENDER_BLOCK characters to a piece; bit strings need no escaping
+        lead = (separator + '"').encode("ascii")
+        rows = max(1, RENDER_BLOCK // (len(lead) + value.bits.shape[1] + 1))
+        for start in range(0, len(value), rows):
+            text = row_text(value.bits[start : start + rows], lead, b'"')
+            yield text if start else text[len(separator) :]
+    elif set(map(type, value)) == {str}:  # e.g. a record's tokens: escaped in C
+        yield separator.join(map(encode_basestring_ascii, value))
     else:
-        yield json.dumps(value)
-
-
-def _bit_row_pieces(bits, separator: str):
-    # The items of a JSON array of the rows of a (trials, n_bits) 0/1 uint8
-    # array as strings, about RENDER_BLOCK characters to a piece: each row is
-    # separator + '"' + its bits as "0"/"1" + '"', with no separator before
-    # the first row.  Bit strings need no escaping.
-    # numpy is imported here, as in _parse_grid: imported at the top of cli,
-    # it loads before the package's own modules, and that measurably raised
-    # the peak RSS of `run`, which renders no transcripts
-    import numpy as np
-
-    trials, n_bits = bits.shape
-    lead = np.frombuffer((separator + '"').encode("ascii"), np.uint8)
-    width = len(lead) + n_bits + 1
-    rows = max(1, RENDER_BLOCK // width)
-    lines = np.empty((min(rows, trials), width), np.uint8)
-    lines[:, : len(lead)] = lead
-    lines[:, -1] = ord('"')
-    skip = len(separator)
-    for start in range(0, trials, rows):
-        block = lines[: min(rows, trials - start)]
-        np.add(bits[start : start + rows], 48, out=block[:, len(lead) : -1])
-        yield block.tobytes().decode("ascii")[skip:]
-        skip = 0
+        for index, item in enumerate(value):
+            if index:
+                yield separator
+            yield from _json_pieces(item, inner)
+    yield "\n" + indent + "]"
 
 
 def render(envelope: dict, fmt: str, out) -> None:

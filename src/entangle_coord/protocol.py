@@ -54,9 +54,11 @@ own weight, as qsim's collapse does.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -301,11 +303,75 @@ class TrialBatch(NamedTuple):
                     yield _multi_record(seed, tuple(bits), strikes)
 
 
-def bit_strings(bits: np.ndarray) -> list[str]:
-    """The rows of a (trials, n_bits) 0/1 array as bit strings."""
+def row_text(bits: np.ndarray, lead: bytes = b"", tail: bytes = b"") -> str:
+    """The rows of a (..., n_bits) 0/1 uint8 array as "0"/"1" text, each framed by lead and tail.
+
+    The one encoder of a bit row: bit i of a row is its character i.
+    """
     n_bits = bits.shape[-1]
-    text = (bits.astype(np.uint8) + 48).tobytes().decode("ascii")
+    rows = bits.reshape(-1, n_bits)
+    start = len(lead)
+    text = bytearray(lead + b"0" * n_bits + tail) * len(rows)
+    lines = np.frombuffer(text, np.uint8).reshape(len(rows), start + n_bits + len(tail))
+    lines[:, start : start + n_bits] += rows
+    return text.decode("ascii")
+
+
+def bit_strings(bits: np.ndarray) -> list[str]:
+    """The rows of a (trials, n_bits) 0/1 uint8 array as bit strings."""
+    n_bits = bits.shape[-1]
+    text = row_text(bits)
     return [text[i : i + n_bits] for i in range(0, len(text), n_bits)]
+
+
+class BitRows(Sequence):
+    """The rows of a (rows, n_bits) 0/1 array as bit strings, e.g. one holder's transcripts.
+
+    A read-only view of the array, not a copy; indexing and iteration build
+    the strings on demand with row_text, and it equals a tuple of the same
+    strings.  from_strings is the one parser of bit strings.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: np.ndarray) -> None:
+        if bits.ndim != 2 or bits.dtype != np.uint8 or not bits.shape[1]:
+            raise ValueError("bit rows must be a (rows, n_bits) uint8 array, n_bits >= 1")
+        if bits.size and bits.max() > 1:
+            raise ValueError("bit strings must hold only the characters 0 and 1")
+        self.bits = bits.view()
+        self.bits.flags.writeable = False
+
+    @classmethod
+    def from_strings(cls, strings: Sequence[str], n_bits: int) -> BitRows:
+        """The rows of equal-length bit strings; ValueError for any other string."""
+        if not all(map(n_bits.__eq__, map(len, strings))):
+            raise ValueError("bit strings must have length n_bits")
+        text = "".join(strings).encode("ascii", "replace")  # "?" for non-ASCII
+        return cls(np.frombuffer(text, np.uint8).reshape(len(strings), n_bits) - 48)
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return BitRows(self.bits[index])
+        return row_text(self.bits[operator.index(index)])
+
+    def __iter__(self):
+        for part in _chunks(*self.bits.shape):
+            yield from bit_strings(self.bits[part])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BitRows):
+            return np.array_equal(self.bits, other.bits)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        trials, n_bits = self.bits.shape
+        return f"BitRows(trials={trials}, n_bits={n_bits})"
 
 
 def action_number_counts(bits: np.ndarray) -> list[tuple[int, int]]:

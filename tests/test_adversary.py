@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -19,13 +20,14 @@ from entangle_coord.adversary import (
     W_ATTACK,
     WOLF_CNOT_ATTACK,
     biseparable_attack,
+    _pearson,
     _three_holder_attack,
     build_wolf_triple,
     eve_ghz_attack,
     eve_w_attack,
     wolf_cnot_attack,
 )
-from entangle_coord.protocol import BATCH_SLOTS, bit_strings
+from entangle_coord.protocol import BATCH_SLOTS, bit_strings, row_text
 from entangle_coord.seeding import GAMMA, SplitMix64, derive_seed
 
 
@@ -145,6 +147,26 @@ def test_biseparable_attack_statistics():
     # eve's constant 1 matches alice exactly when alice reads 1
     sigma_half = math.sqrt(0.25 / trials)
     assert abs(report.eavesdrop_success_rate - 0.5) < 4 * sigma_half
+
+
+def _random_bits(seed: int, shape: tuple[int, int]) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8)
+
+
+# 0/1 arrays of 1 to 200 slots
+_BIT_ARRAYS = st.builds(_random_bits, st.integers(0, 2**32 - 1),
+                        st.tuples(st.integers(1, 20), st.integers(1, 10)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_BIT_ARRAYS, seed=st.integers(0, 2**32 - 1), complement=st.booleans())
+def test_pearson_equals_the_statistics_correlation(x, seed, complement):
+    y = x ^ 1 if complement else _random_bits(seed, x.shape)
+    if 0 < x.sum() < x.size and 0 < y.sum() < y.size:
+        expected = statistics.correlation(x.ravel().tolist(), y.ravel().tolist())
+        assert abs(_pearson(x, y) - expected) <= 1e-12
+    for constant in (np.zeros_like(x), np.ones_like(x)):
+        assert _pearson(constant, y) == _pearson(x, constant) == 0.0
 
 
 def test_biseparable_cross_oracle():
@@ -289,7 +311,17 @@ def test_attack_report_keeps_given_strings_as_bit_rows():
     assert report == _report_with(BitRows(report.alice_bits.bits), n_bits=4)
 
 
-def test_bit_rows_behave_as_a_sequence_of_strings():
+@settings(max_examples=100, deadline=None)
+@given(drawn=_BIT_ARRAYS | st.just(np.ones((1, 1), np.uint8)),
+       lead=st.binary(max_size=4).map(lambda b: bytes(c & 0x7f for c in b)),
+       tail=st.sampled_from([b"", b'"', b"\n"]))
+def test_bit_rows_behave_as_a_sequence_of_strings(drawn, lead, tail):
+    # the codec's round trip, n_bits % 8 != 0 and 1 x 1 included
+    strings = ["".join(map(str, row)) for row in drawn.tolist()]
+    assert list(BitRows(drawn)) == strings
+    assert np.array_equal(BitRows.from_strings(list(BitRows(drawn)), drawn.shape[1]).bits, drawn)
+    framed = "".join(lead.decode("ascii") + s + tail.decode("ascii") for s in strings)
+    assert row_text(drawn, lead, tail) == framed
     bits = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1]], np.uint8)
     rows = BitRows(bits)
     strings = ("011", "100", "111")

@@ -567,8 +567,9 @@ _SCALARS = (
     | st.integers() | st.sampled_from([2**63, 2**64 + 5, -(2**63) - 1, 10**30])
     | st.floats() | st.sampled_from([-0.0, 5e-324, 1e308])
 )
+_EMPTY = st.sampled_from([[], (), {}])
 _ENVELOPE_SHAPED = st.dictionaries(_TEXT, st.recursive(
-    _SCALARS,
+    _SCALARS | _EMPTY,
     lambda inner: (
         st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
         | st.dictionaries(_TEXT, inner, max_size=5)
@@ -579,11 +580,11 @@ _ENVELOPE_SHAPED = st.dictionaries(_TEXT, st.recursive(
 
 
 @settings(max_examples=150, deadline=None)
-@given(envelope=_ENVELOPE_SHAPED, run=st.integers(1, 4), block=st.integers(1, 80))
-def test_render_writes_exactly_what_json_dumps_gives(envelope, run, block):
-    # short string runs and blocks put their boundaries inside small trees
+@given(envelope=_ENVELOPE_SHAPED, block=st.integers(1, 80))
+def test_render_writes_exactly_what_json_dumps_gives(envelope, block):
+    # short blocks put their boundaries inside small trees
     out = io.StringIO()
-    with mock.patch.object(cli, "_STRING_RUN", run), mock.patch.object(cli, "RENDER_BLOCK", block):
+    with mock.patch.object(cli, "RENDER_BLOCK", block):
         cli.render(envelope, "json", out)
     assert out.getvalue() == json.dumps(envelope, indent=2) + "\n"
 
@@ -632,10 +633,10 @@ def test_attack_transcripts_render_without_a_string_per_trial():
     assert peak < 16 * trials
 
 
-# (trials, n_bits): one slot, rows crossing RENDER_BLOCK boundaries, one row
-# longer than RENDER_BLOCK, and small shapes for small patched blocks
+# (trials, n_bits): no trial, one slot, rows crossing RENDER_BLOCK boundaries,
+# one row longer than RENDER_BLOCK, and small shapes for small patched blocks
 _BIT_SHAPES = st.sampled_from(
-    [(1, 1), (cli.RENDER_BLOCK // 6 + 5, 5), (2, cli.RENDER_BLOCK + 3)]
+    [(0, 3), (1, 1), (cli.RENDER_BLOCK // 6 + 5, 5), (2, cli.RENDER_BLOCK + 3)]
 ) | st.tuples(st.integers(1, 40), st.integers(1, 70))
 
 
@@ -658,7 +659,7 @@ def _pair_dicts(items):
 
 # (tree, the same tree with plain string lists in place of BitRows)
 _BIT_TREES = st.dictionaries(_TEXT, st.recursive(
-    _bit_rows_and_strings() | _SCALARS.map(lambda value: (value, value)),
+    _bit_rows_and_strings() | (_SCALARS | _EMPTY).map(lambda value: (value, value)),
     lambda inner: (st.lists(inner, max_size=4).map(_pair_lists)
                    | st.dictionaries(_TEXT, inner, max_size=4).map(_pair_dicts)),
     max_leaves=6,
