@@ -29,9 +29,9 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .adversary import biseparable_attack, eve_ghz_attack, eve_w_attack, wolf_cnot_attack
-from .analysis import bound_table, check_eps_hint, nicd_max_correlation, reconcile
-from .protocol import BitRows, NoiseModel, action_number_counts, bit_strings, row_text, run_batch
+# adversary and analysis are imported inside the commands that call them, so a
+# launch loads (and, without bytecode caches, compiles) only what it runs
+from .protocol import BitRows, NoiseModel, RunSummary, bit_strings, row_text, run_batch
 from .seeding import check_seed, derive_seed
 
 # ----------------------------------------------------------------- plumbing
@@ -89,20 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> dict:
             most := (10**digits).bit_length() - 1):
         raise ValueError(f"--bits {args.bits} exceeds {most}: its action numbers would "
                          f"pass Python's limit of {digits} digits for printing an integer")
-    batch = run_batch(args.agents, args.bits, noise, args.trials, seed)
-    slot_agrees = (batch.bits == batch.bits[0]).all(axis=0)  # (trials, bits)
-    agree_count = int(slot_agrees.all(axis=1).sum())
-    disagree = (~slot_agrees).sum(axis=0).tolist()
-    results = {
-        "trials": args.trials,
-        "agreement_rate": agree_count / args.trials,
-        "action_number_histogram": {
-            str(number): count for number, count in action_number_counts(batch.bits[0])
-        },
-        "per_bit_disagreement": [d / args.trials for d in disagree],
-    }
-    if args.trials <= 10:
-        results["records"] = [rec.to_dict() for rec in batch.records()]
+    results = RunSummary.of_trials(args.agents, args.bits, noise, args.trials, seed).to_dict()
     parameters = {
         "bits": args.bits,
         "eps": args.eps,
@@ -117,6 +104,8 @@ def _cmd_run(args: argparse.Namespace) -> dict:
 
 
 def _cmd_attack(args: argparse.Namespace) -> dict:
+    from .adversary import biseparable_attack, eve_ghz_attack, eve_w_attack, wolf_cnot_attack
+
     seed = _resolve_seed(args.seed)
     if args.eve_first and args.kind != "ghz":
         raise ValueError("--eve-first applies to the ghz attack only")
@@ -170,6 +159,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_bound(args: argparse.Namespace) -> dict:
+    from .analysis import bound_table
+
     if args.eps is not None:
         eps_values = _parse_eps_list(args.eps)
         parameters = {"eps": eps_values, "format": args.format}
@@ -181,12 +172,16 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
 
 
 def _cmd_nicd(args: argparse.Namespace) -> dict:
+    from .analysis import nicd_max_correlation
+
     result = nicd_max_correlation(args.m, args.eps)
     parameters = {"m": args.m, "eps": args.eps, "format": args.format}
     return _envelope("nicd", parameters, 0, result.to_dict())
 
 
 def _cmd_reconcile(args: argparse.Namespace) -> dict:
+    from .analysis import check_eps_hint, reconcile
+
     seed = _resolve_seed(args.seed)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")

@@ -34,12 +34,14 @@ Draw j of the run is mix(s + (j + 1) * GAMMA) (see seeding), and trial t of
 a batch has s = derive_seed(master, t), from `trial_chunks`.  Seeds, master
 or trial, pass seeding.check_seed: an integer in [0, 2**64), never reduced
 or truncated.
-One engine follows this contract: `run_batch`, behind `iter_runs` and the
-command line, computes every draw from its (trial seed, position) pair,
-vectorised over trials and slots, and `run_protocol` and `run_multiagent`
-are its one-trial views.  The test suite keeps a sequential reference that
-reads the stream one draw at a time and measures dense states through the
-public qsim operators, and checks the engine against it bit for bit.
+One engine follows this contract: it computes every draw from its (trial
+seed, position) pair, vectorised over trials and slots, one chunk of trials
+at a time.  `run_batch`, behind `iter_runs` and `reconcile`, keeps every
+trial; `RunSummary`, behind `run`, keeps only the sums; and `run_protocol`
+and `run_multiagent` are its one-trial views.  The test suite keeps a
+sequential reference that reads the stream one draw at a time and measures
+dense states through the public qsim operators, and checks the engine
+against it bit for bit.
 
 Two branches per slot.  Each qubit is measured once, so a slot's Bell or
 GHZ register only ever has two nonzero amplitudes, u where every unmeasured
@@ -56,7 +58,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -477,6 +479,79 @@ def run_batch(
         seeds[part] = chunk_seeds
         bases[:, part], bits[:, part] = _run_chunk(chunk_seeds, k_agents, n_bits, noise)
     return TrialBatch(seeds, bases, bits)
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """The aggregates `run` prints for trials 0..trials-1 under one master seed.
+
+    The field order is the JSON key order.  The histogram maps each observed
+    action number of alice, in decimal and in numeric order, to its count.
+    `records` holds every trial's record when there are at most 10 trials,
+    else None.
+    """
+
+    trials: int
+    agreement_rate: float
+    action_number_histogram: dict[str, int]
+    per_bit_disagreement: list[float]
+    records: tuple[RunRecord | MultiRunRecord, ...] | None = None
+
+    @classmethod
+    def of_trials(
+        cls, k_agents: int, n_bits: int, noise: NoiseModel, trials: int, master_seed: int
+    ) -> RunSummary:
+        """The summary of run_batch(k_agents, n_bits, noise, trials, master_seed).
+
+        It is summed one trial_chunks chunk at a time, so its memory does
+        not grow with `trials`, and it equals the whole batch's aggregates.
+        """
+        _check_run(k_agents, n_bits)
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
+        agree = 0
+        disagree = np.zeros(n_bits, np.int64)
+        # one count per action number when they are no more than a chunk's slots
+        dense = 1 << n_bits <= BATCH_SLOTS
+        if dense:
+            histogram = np.zeros(1 << n_bits, np.int64)
+            weights = 1 << np.arange(n_bits - 1, -1, -1)  # slot 0 is the top bit
+        else:
+            counts: dict[int, int] = {}
+        records: list | None = [] if trials <= 10 else None
+        for _, seeds in trial_chunks(master_seed, trials, n_bits):
+            bases, bits = _run_chunk(seeds, k_agents, n_bits, noise)
+            slot_agrees = (bits == bits[0]).all(axis=0)  # (lanes, n_bits)
+            agree += int(slot_agrees.all(axis=1).sum())
+            disagree += (~slot_agrees).sum(axis=0)
+            if dense:
+                histogram += np.bincount(bits[0] @ weights, minlength=len(histogram))
+            else:
+                for number, count in action_number_counts(bits[0]):
+                    counts[number] = counts.get(number, 0) + count
+            if records is not None:
+                records.extend(TrialBatch(seeds, bases, bits).records())
+            del bases, bits, slot_agrees  # so that no two chunks are held at once
+        if dense:
+            items = [(number, count) for number, count in enumerate(histogram.tolist()) if count]
+        else:
+            items = sorted(counts.items())
+        return cls(
+            trials,
+            agree / trials,
+            {str(number): count for number, count in items},
+            [d / trials for d in disagree.tolist()],
+            None if records is None else tuple(records),
+        )
+
+    def to_dict(self) -> dict:
+        # the fields in order, with each record as its own layout; no
+        # records key above 10 trials
+        layout = {field.name: getattr(self, field.name) for field in fields(self)}
+        records = layout.pop("records")
+        if records is not None:
+            layout["records"] = [rec.to_dict() for rec in records]
+        return layout
 
 
 def _one_trial(k_agents: int, n_bits: int, noise: NoiseModel, seed: int) -> TrialBatch:

@@ -14,8 +14,8 @@ the set half, a sequential sum in ascending basis-index order.  `branches`
 computes both outcomes of measuring a qubit, and a state of up to
 BRANCH_CACHE_QUBITS qubits keeps them (down to BRANCH_CACHE_DEPTH
 collapses), so measuring the same state again costs one lookup.
-Command-line runs go through `protocol.run_batch` instead, which keeps only
-the two nonzero amplitudes of each Bell or GHZ register and still
+Command-line runs go through `protocol`'s batch engine instead, which keeps
+only the two nonzero amplitudes of each Bell or GHZ register and still
 reproduces these operators' p1 bit for bit (see that module's docstring).
 """
 

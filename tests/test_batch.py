@@ -14,6 +14,7 @@ from entangle_coord.protocol import (
     BATCH_SLOTS,
     NoiseModel,
     RunRecord,
+    RunSummary,
     action_number_counts,
     bit_strings,
     iter_runs,
@@ -141,6 +142,41 @@ def test_memory_does_not_grow_with_the_register():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@st.composite
+def _summary_cases(draw):
+    # trial counts on and across chunk boundaries; n_bits on both sides of
+    # the per-action-number histogram (2**n_bits <= BATCH_SLOTS)
+    n_bits = draw(st.integers(1, 20))
+    lanes = max(1, BATCH_SLOTS // n_bits)
+    trials = draw(st.integers(1, 10) | st.sampled_from([lanes, lanes + 1, 2 * lanes])
+                  | st.integers(1, 2 * lanes + 1))
+    noise = NoiseModel(draw(flip_probs), draw(angles), draw(angles))
+    return draw(st.integers(2, 6)), n_bits, noise, trials, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_summary_cases())
+def test_run_summary_equals_the_whole_batch_aggregates(case):
+    k, n_bits, noise, trials, master = case
+    summary = RunSummary.of_trials(k, n_bits, noise, trials, master)
+    batch = run_batch(k, n_bits, noise, trials, master)
+    slot_agrees = (batch.bits == batch.bits[0]).all(axis=0)
+    assert summary.trials == trials
+    assert summary.agreement_rate == int(slot_agrees.all(axis=1).sum()) / trials
+    assert summary.per_bit_disagreement == [
+        d / trials for d in (~slot_agrees).sum(axis=0).tolist()]
+    assert list(summary.action_number_histogram.items()) == [
+        (str(number), count) for number, count in action_number_counts(batch.bits[0])]
+    assert summary.records == (tuple(batch.records()) if trials <= 10 else None)
+
+
+def test_run_summary_validates_arguments():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        RunSummary.of_trials(2, 1, NoiseModel(), 0, 0)
+    with pytest.raises(ValueError, match="at least 2 agents"):
+        RunSummary.of_trials(1, 1, NoiseModel(), 1, 0)
 
 
 def test_iter_runs_yields_run_records():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_coord import cli
+from entangle_coord import analysis, cli
 from entangle_coord.adversary import BitRows
 from entangle_coord.qsim import QUBIT_CAP
 
@@ -419,7 +419,7 @@ def test_unexpected_failure_exits_1(capsys, monkeypatch):
     def boom(_):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setattr(cli, "bound_table", boom)
+    monkeypatch.setattr(analysis, "bound_table", boom)
     code, out, err = invoke(["bound", "--eps", "0.01"], capsys)
     assert code == 1
     assert out == ""
@@ -555,6 +555,53 @@ def test_subprocess_invocation_matches_in_process(capsys):
     assert proc.returncode == 0
     assert proc.stdout == expected
     cli.validate_envelope(json.loads(proc.stdout))
+
+
+def _run_peak(trials: int, capsys) -> int:
+    # the tracemalloc peak of one `run --bits 1` invocation, output included
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", "--bits", "1", "--trials", str(trials)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    return peak
+
+
+def test_run_memory_does_not_grow_with_the_trials(capsys):
+    # run sums one chunk of trials at a time; 2**13 trials fill one chunk
+    _run_peak(2**13, capsys)  # warm caches outside the measurement
+    assert _run_peak(2**20, capsys) <= _run_peak(2**13, capsys) + (64 << 10)
+
+
+# each command, and the entangle_coord modules it must not load
+_COMMAND_MODULES = [
+    (["--version"], {"adversary", "analysis"}),
+    (["run", "--bits", "2", "--trials", "3"], {"adversary", "analysis"}),
+    (["attack", "w", "--bits", "2", "--trials", "3"], {"analysis"}),
+    (["reconcile", "--bits", "16", "--trials", "2"], {"adversary"}),
+    (["nicd", "--m", "2", "--eps", "0.1"], {"adversary"}),
+    (["bound", "--eps", "0.01"], {"adversary"}),
+]
+_LOADED_MODULES = """
+import contextlib, io, sys
+from entangle_coord import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("entangle_coord.")))
+"""
+
+
+@pytest.mark.parametrize("argv, absent", _COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in _COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_calls(argv, absent):
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+                          capture_output=True, text=True, timeout=60)
+    code, *loaded = proc.stdout.split()
+    assert (code, proc.stderr) == ("0", "")
+    assert {"entangle_coord.protocol", "entangle_coord.seeding"} <= set(loaded)
+    assert not {f"entangle_coord.{name}" for name in absent} & set(loaded)
 
 
 # ----------------------------------------------------------------- renderer

@@ -54,6 +54,12 @@ CASES = [
     ["nicd", "--m", "3", "--eps", "0.1"],
     ["nicd", "--m", "4", "--eps", "0.1"],
     ["nicd", "--m", "4", "--eps", "0.005"],
+    # run aggregates summed over several chunks: 8 chunks with a histogram
+    # counted per action number (2**3 <= BATCH_SLOTS), and 3 chunks with
+    # one merged from each chunk's counts (2**14 > BATCH_SLOTS)
+    ["run", "--bits", "3", "--eps", "0.05", "--theta-b", "0.3", "--trials", "20000",
+     "--seed", "17"],
+    ["run", "--bits", "14", "--agents", "3", "--trials", "1500", "--seed", "19"],
 ]
 
 
