@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 # adversary and analysis are imported inside the commands that call them, so a
 # launch loads (and, without bytecode caches, compiles) only what it runs
-from .protocol import BitRows, NoiseModel, RunSummary, bit_strings, row_text, run_batch
+from .protocol import BitRows, NoiseModel, RunSummary, bit_strings, row_text, trial_batches
 from .seeding import check_seed, derive_seed
 
 # ----------------------------------------------------------------- plumbing
@@ -187,17 +187,15 @@ def _cmd_reconcile(args: argparse.Namespace) -> dict:
         raise ValueError("--trials must be at least 1")
     noise = NoiseModel(flip_prob=args.eps)
     check_eps_hint(args.eps)  # a bad hint fails before the trials run
-    # one protocol run per trial supplies the noisy string pair
-    batch = run_batch(2, args.bits, noise, args.trials, seed)
-    alice, bob = (bit_strings(agent_bits) for agent_bits in batch.bits)
-    successes = 0
-    total_disclosed = 0
-    total_passes = 0
-    for seed_t, alice_bits, bob_bits in zip(batch.seeds.tolist(), alice, bob):
-        report, _, _ = reconcile(alice_bits, bob_bits, args.eps, derive_seed(seed_t, 1))
-        successes += report.success
-        total_disclosed += report.disclosed_bits
-        total_passes += report.passes
+    successes = total_disclosed = total_passes = 0
+    # one protocol run per trial supplies the noisy string pair, one chunk at a time
+    for batch in trial_batches(2, args.bits, noise, args.trials, seed):
+        alice, bob = (bit_strings(agent_bits) for agent_bits in batch.bits)
+        for seed_t, alice_bits, bob_bits in zip(batch.seeds.tolist(), alice, bob):
+            report, _, _ = reconcile(alice_bits, bob_bits, args.eps, derive_seed(seed_t, 1))
+            successes += report.success
+            total_disclosed += report.disclosed_bits
+            total_passes += report.passes
     results = {
         "trials": args.trials,
         "n": args.bits,

@@ -36,8 +36,8 @@ or trial, pass seeding.check_seed: an integer in [0, 2**64), never reduced
 or truncated.
 One engine follows this contract: it computes every draw from its (trial
 seed, position) pair, vectorised over trials and slots, one chunk of trials
-at a time.  `run_batch`, behind `iter_runs` and `reconcile`, keeps every
-trial; `RunSummary`, behind `run`, keeps only the sums; and `run_protocol`
+at a time.  `trial_batches` yields the chunks; `iter_runs`, `RunSummary`
+(behind `run`) and `reconcile` each hold one at a time; and `run_protocol`
 and `run_multiagent` are its one-trial views.  The test suite keeps a
 sequential reference that reads the stream one draw at a time and measures
 dense states through the public qsim operators, and checks the engine
@@ -45,7 +45,7 @@ against it bit for bit.
 
 Two branches per slot.  Each qubit is measured once, so a slot's Bell or
 GHZ register only ever has two nonzero amplitudes, u where every unmeasured
-qubit is 0 and v where every one is 1, and `run_batch` keeps just these.
+qubit is 0 and v where every one is 1, and the engine keeps just these.
 With (c, s) = (cos t/2, sin t/2), the dense p1 has two nonzero terms,
 (s*u)**2 and (c*v)**2, or for the last qubit one, (c*v + s*u)**2; its other
 terms add exact zeros and two floats sum alike in either order, so the
@@ -263,46 +263,42 @@ def trial_chunks(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """(trials, their seeds) for each chunk of trials 0..trials-1 under `master_seed`.
 
-    Trial t's seed is derive_seed(master_seed, t), as uint64.  Every draw is
-    addressed by (trial seed, stream position), so how the trials are split
-    into chunks never changes an output; the chunks only bound memory.
+    The master seed is checked at the call.  Trial t's seed is
+    derive_seed(master_seed, t), as uint64.  Every draw is addressed by
+    (trial seed, stream position), so how the trials are split into chunks
+    never changes an output; the chunks only bound memory.
     """
     master_seed = check_seed(master_seed, "master seed")
-    for part in _chunks(trials, n_bits):
-        yield part, stream_draws(master_seed, np.arange(part.start, part.stop, dtype=np.uint64))
+    return ((part, stream_draws(master_seed, np.arange(part.start, part.stop, dtype=np.uint64)))
+            for part in _chunks(trials, n_bits))
 
 
 class TrialBatch(NamedTuple):
-    """Trials 0..trials-1 of one master seed, as arrays indexed by trial."""
+    """One chunk of trials of one master seed, as arrays indexed by lane."""
 
-    seeds: np.ndarray  # (trials,) uint64: derive_seed(master_seed, t)
-    token_bases: np.ndarray  # (k, trials) uint64: each agent's table base
-    bits: np.ndarray  # (k, trials, n_bits) uint8: agents in canonical order
+    seeds: np.ndarray  # (lanes,) uint64: each trial's derive_seed(master_seed, t)
+    token_bases: np.ndarray  # (k, lanes) uint64: each agent's table base
+    bits: np.ndarray  # (k, lanes, n_bits) uint8: agents in canonical order
 
-    def records(
-        self, strikes: StrikeSet | None = None
-    ) -> Iterator[RunRecord | MultiRunRecord]:
-        """One record per trial: a RunRecord for two agents, else a MultiRunRecord.
+    def records(self, strikes: StrikeSet | None = None) -> Iterator[RunRecord | MultiRunRecord]:
+        """One record per lane: a RunRecord for two agents, else a MultiRunRecord.
 
-        Each equals what run_protocol / run_multiagent return for the trial's
+        Each equals what run_protocol / run_multiagent return for the lane's
         seed, and what the sequential reference in the test suite
         (tests/sequential_reference.py) gives for it.
         """
-        k, trials, n_bits = self.bits.shape
+        k, _, n_bits = self.bits.shape
         strikes = _resolve_strikes(strikes, n_bits)
-        for part in _chunks(trials, n_bits):
-            strings = [bit_strings(agent_bits) for agent_bits in self.bits[:, part]]
-            seeds = self.seeds[part].tolist()
-            if k == 2:
-                actions = [
-                    _action_tokens(base, agent_bits)
-                    for base, agent_bits in zip(self.token_bases[:, part], self.bits[:, part])
-                ]
-                for row in zip(seeds, *strings, *actions):
-                    yield _run_record(*row, strikes)
-            else:
-                for seed, *bits in zip(seeds, *strings):
-                    yield _multi_record(seed, tuple(bits), strikes)
+        strings = [bit_strings(agent_bits) for agent_bits in self.bits]
+        seeds = self.seeds.tolist()
+        if k == 2:
+            actions = [_action_tokens(base, agent_bits)
+                       for base, agent_bits in zip(self.token_bases, self.bits)]
+            for row in zip(seeds, *strings, *actions):
+                yield _run_record(*row, strikes)
+        else:
+            for seed, *bits in zip(seeds, *strings):
+                yield _multi_record(seed, tuple(bits), strikes)
 
 
 def row_text(bits: np.ndarray, lead: bytes = b"", tail: bytes = b"") -> str:
@@ -453,32 +449,20 @@ def _check_run(k_agents: int, n_bits: int) -> None:
     qsim.check_num_qubits(k_agents)
 
 
-def run_batch(
-    k_agents: int,
-    n_bits: int,
-    noise: NoiseModel,
-    trials: int,
-    master_seed: int,
-) -> TrialBatch:
-    """Trials 0..trials-1 under `master_seed`, computed from their indices.
+def trial_batches(
+    k_agents: int, n_bits: int, noise: NoiseModel, trials: int, master_seed: int
+) -> Iterator[TrialBatch]:
+    """Trials 0..trials-1 under `master_seed`: one TrialBatch per trial_chunks chunk.
 
-    Trial t is the run with trial seed derive_seed(master_seed, t): every
-    draw is computed from that seed and its stream position (see the module
-    docstring), vectorised over trials and slots with two real branch
-    amplitudes per slot in place of its register's 2**k.  The test suite
-    checks it bit for bit against a sequential reference that reads the
-    stream one draw at a time on dense states (tests/sequential_reference.py).
+    Trial t is the run with trial seed derive_seed(master_seed, t) (see the
+    module docstring).  The arguments are checked at the call, and each batch
+    is computed when it is reached, so a caller that drops it holds one chunk.
     """
     _check_run(k_agents, n_bits)
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    seeds = np.empty(trials, np.uint64)
-    bases = np.empty((k_agents, trials), np.uint64)
-    bits = np.empty((k_agents, trials, n_bits), np.uint8)
-    for part, chunk_seeds in trial_chunks(master_seed, trials, n_bits):
-        seeds[part] = chunk_seeds
-        bases[:, part], bits[:, part] = _run_chunk(chunk_seeds, k_agents, n_bits, noise)
-    return TrialBatch(seeds, bases, bits)
+    chunks = trial_chunks(master_seed, trials, n_bits)
+    return (TrialBatch(seeds, *_run_chunk(seeds, k_agents, n_bits, noise)) for _, seeds in chunks)
 
 
 @dataclass(frozen=True)
@@ -501,12 +485,12 @@ class RunSummary:
     def of_trials(
         cls, k_agents: int, n_bits: int, noise: NoiseModel, trials: int, master_seed: int
     ) -> RunSummary:
-        """The summary of run_batch(k_agents, n_bits, noise, trials, master_seed).
+        """The summary of trial_batches(k_agents, n_bits, noise, trials, master_seed).
 
-        It is summed one trial_chunks chunk at a time, so its memory does
-        not grow with `trials`, and it equals the whole batch's aggregates.
+        It is summed one batch at a time, so its memory does not grow with
+        `trials`, and it equals the aggregates of all the trials at once.
         """
-        _check_run(k_agents, n_bits)
+        batches = trial_batches(k_agents, n_bits, noise, trials, master_seed)
         if trials < 1:
             raise ValueError("trials must be at least 1")
         agree = 0
@@ -519,8 +503,8 @@ class RunSummary:
         else:
             counts: dict[int, int] = {}
         records: list | None = [] if trials <= 10 else None
-        for _, seeds in trial_chunks(master_seed, trials, n_bits):
-            bases, bits = _run_chunk(seeds, k_agents, n_bits, noise)
+        for batch in batches:
+            bits = batch.bits
             slot_agrees = (bits == bits[0]).all(axis=0)  # (lanes, n_bits)
             agree += int(slot_agrees.all(axis=1).sum())
             disagree += (~slot_agrees).sum(axis=0)
@@ -530,8 +514,8 @@ class RunSummary:
                 for number, count in action_number_counts(bits[0]):
                     counts[number] = counts.get(number, 0) + count
             if records is not None:
-                records.extend(TrialBatch(seeds, bases, bits).records())
-            del bases, bits, slot_agrees  # so that no two chunks are held at once
+                records.extend(batch.records())
+            del batch, bits, slot_agrees  # so that no two chunks are held at once
         if dense:
             items = [(number, count) for number, count in enumerate(histogram.tolist()) if count]
         else:
@@ -569,7 +553,7 @@ def run_protocol(
 ) -> RunRecord:
     """One complete two-party run; a deterministic function of its arguments.
 
-    This is trial t of run_batch(2, ...) when seed = derive_seed(master, t).
+    This is trial t of trial_batches(2, ...) when seed = derive_seed(master, t).
     """
     return next(_one_trial(2, n_bits, noise, seed).records(strikes))
 
@@ -598,5 +582,6 @@ def iter_runs(
     master_seed: int,
     strikes: StrikeSet | None = None,
 ) -> Iterator[RunRecord]:
-    """Independent runs: trial t equals run_protocol at derive_seed(master_seed, t)."""
-    yield from run_batch(2, n_bits, noise, trials, master_seed).records(strikes)
+    """Independent runs: trial t is run_protocol at derive_seed(master_seed, t), chunk by chunk."""
+    for batch in trial_batches(2, n_bits, noise, trials, master_seed):
+        yield from batch.records(strikes)

@@ -1,12 +1,15 @@
-"""The sequential protocol engine: the reference `run_batch` is tested against.
+"""The sequential engines that the batched protocol and `analysis.reconcile` are tested against.
 
-It reads each run's SplitMix64 stream one draw at a time, in the order the
-`protocol` module docstring lays out: deal every slot's qubits (holders),
-issue each agent an action table of fresh opaque tokens from its own issuing
-chain, then let every agent in turn measure its held qubits on a
-`StateRegistry` of dense Bell or GHZ states through the public `qsim`
-operators.  `run_protocol` and `run_multiagent` here return the records the
-package's one-trial views must equal bit for bit.
+The protocol engine reads each run's SplitMix64 stream one draw at a time,
+in the order the `protocol` module docstring lays out: deal every slot's
+qubits (holders), issue each agent an action table of fresh opaque tokens
+from its own issuing chain, then let every agent in turn measure its held
+qubits on a `StateRegistry` of dense Bell or GHZ states through the public
+`qsim` operators.  `run_protocol` and `run_multiagent` here return the
+records the package's batches and one-trial views must equal bit for bit,
+and `scalar_reconcile` the report `analysis.reconcile` must equal.
+`whole_batch` joins the package's batches into one, for tests that index
+every trial.
 """
 
 from __future__ import annotations
@@ -14,19 +17,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from entangle_coord import qsim
+from entangle_coord.analysis import _CASCADE_BLOCK_CONSTANT, MAX_PASSES, ReconcileReport
 from entangle_coord.protocol import (
     MultiRunRecord,
     NoiseModel,
     RunRecord,
     StateRegistry,
     StrikeSet,
+    TrialBatch,
     _agent_names,
     _multi_record,
     _resolve_strikes,
     _run_record,
+    trial_batches,
 )
-from entangle_coord.seeding import _MASK64, SplitMix64
+from entangle_coord.seeding import _MASK64, SplitMix64, derive_seed
 
 _CANONICAL_ISSUERS = ("carl", "dave")
 _ISSUER_FOR = {"alice": "carl", "bob": "dave"}
@@ -197,3 +205,73 @@ def run_multiagent(
     strikes = _resolve_strikes(strikes, n_bits)
     runs = _run_sequential(k_agents, n_bits, noise, seed)
     return _multi_record(seed, tuple(agent_bits for agent_bits, _ in runs), strikes)
+
+
+def whole_batch(
+    k_agents: int, n_bits: int, noise: NoiseModel, trials: int, master_seed: int
+) -> TrialBatch:
+    """Trials 0..trials-1 (at least one) as one TrialBatch, joined from trial_batches."""
+    batches = list(trial_batches(k_agents, n_bits, noise, trials, master_seed))
+    return TrialBatch(np.concatenate([batch.seeds for batch in batches]),
+                      np.concatenate([batch.token_bases for batch in batches], axis=1),
+                      np.concatenate([batch.bits for batch in batches], axis=1))
+
+
+def scalar_reconcile(alice, bob, eps_hint, seed):
+    """The bit-by-bit reconcile that the vectorised one must equal exactly.
+
+    Pass p >= 2 permutes with a sequential Fisher-Yates over SplitMix64 at
+    derive_seed(seed, p); each parity is read from both strings as it stands.
+    """
+    n = len(alice)
+    a = [int(c) for c in alice]
+    b = [int(c) for c in bob]
+    errors_before = sum(x != y for x, y in zip(a, b))
+    disclosed = 0
+
+    def parity_differs(positions):
+        nonlocal disclosed
+        disclosed += 1
+        pa = pb = 0
+        for i in positions:
+            pa ^= a[i]
+            pb ^= b[i]
+        return pa != pb
+
+    def bisect(positions):
+        # invariant: `positions` holds an odd number of differing bits
+        while len(positions) > 1:
+            mid = (len(positions) + 1) // 2
+            left = positions[:mid]
+            positions = left if parity_differs(left) else positions[mid:]
+        b[positions[0]] ^= 1
+
+    def run_pass(order, block_size):
+        for start in range(0, n, block_size):
+            block = order[start : start + block_size]
+            if parity_differs(block):
+                bisect(block)
+
+    def permutation(pass_number):
+        rng = SplitMix64(derive_seed(seed, pass_number))
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            while True:
+                j = rng.next_uint64() >> (64 - i.bit_length())
+                if j <= i:
+                    break
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+    k1 = min(n, max(2, round(min(_CASCADE_BLOCK_CONSTANT / eps_hint, n))))
+    run_pass(list(range(n)), k1)
+    run_pass(permutation(2), min(n, 2 * k1))
+    passes = 2
+    while a != b and passes < MAX_PASSES:
+        passes += 1
+        run_pass(permutation(passes), min(n, max(2, k1 >> (passes - 2))))
+    errors_after = sum(x != y for x, y in zip(a, b))
+    report = ReconcileReport(n=n, errors_before=errors_before, errors_after=errors_after,
+                             disclosed_bits=disclosed, passes=passes,
+                             success=errors_after == 0)
+    return report, "".join(map(str, a)), "".join(map(str, b))

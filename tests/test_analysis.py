@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from entangle_coord import analysis, cli
 from entangle_coord.analysis import (
-    _CASCADE_BLOCK_CONSTANT,
     MAX_PASSES,
     BoundRow,
     NicdResult,
@@ -25,7 +24,9 @@ from entangle_coord.analysis import (
     shannon_length_bound,
 )
 from entangle_coord.protocol import NoiseModel, run_protocol
-from entangle_coord.seeding import SplitMix64, derive_seed
+from entangle_coord.seeding import derive_seed
+
+from sequential_reference import scalar_reconcile
 
 
 # ------------------------------------------------------------------ entropy
@@ -452,66 +453,6 @@ def test_reconcile_never_adds_errors_and_discloses_at_least_them(pair, eps_hint,
     assert a_out == alice
     assert len(b_out) == len(alice)
     assert sum(a != b for a, b in zip(a_out, b_out)) == report.errors_after
-
-
-def scalar_reconcile(alice, bob, eps_hint, seed):
-    """The bit-by-bit reconcile that the vectorised one must equal exactly.
-
-    Pass p >= 2 permutes with a sequential Fisher-Yates over SplitMix64 at
-    derive_seed(seed, p); each parity is read from both strings as it stands.
-    """
-    n = len(alice)
-    a = [int(c) for c in alice]
-    b = [int(c) for c in bob]
-    errors_before = sum(x != y for x, y in zip(a, b))
-    disclosed = 0
-
-    def parity_differs(positions):
-        nonlocal disclosed
-        disclosed += 1
-        pa = pb = 0
-        for i in positions:
-            pa ^= a[i]
-            pb ^= b[i]
-        return pa != pb
-
-    def bisect(positions):
-        # invariant: `positions` holds an odd number of differing bits
-        while len(positions) > 1:
-            mid = (len(positions) + 1) // 2
-            left = positions[:mid]
-            positions = left if parity_differs(left) else positions[mid:]
-        b[positions[0]] ^= 1
-
-    def run_pass(order, block_size):
-        for start in range(0, n, block_size):
-            block = order[start : start + block_size]
-            if parity_differs(block):
-                bisect(block)
-
-    def permutation(pass_number):
-        rng = SplitMix64(derive_seed(seed, pass_number))
-        perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            while True:
-                j = rng.next_uint64() >> (64 - i.bit_length())
-                if j <= i:
-                    break
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
-
-    k1 = min(n, max(2, round(min(_CASCADE_BLOCK_CONSTANT / eps_hint, n))))
-    run_pass(list(range(n)), k1)
-    run_pass(permutation(2), min(n, 2 * k1))
-    passes = 2
-    while a != b and passes < MAX_PASSES:
-        passes += 1
-        run_pass(permutation(passes), min(n, max(2, k1 >> (passes - 2))))
-    errors_after = sum(x != y for x, y in zip(a, b))
-    report = ReconcileReport(n=n, errors_before=errors_before, errors_after=errors_after,
-                             disclosed_bits=disclosed, passes=passes,
-                             success=errors_after == 0)
-    return report, "".join(map(str, a)), "".join(map(str, b))
 
 
 @st.composite

@@ -18,7 +18,7 @@ from entangle_coord.protocol import (
     action_number_counts,
     bit_strings,
     iter_runs,
-    run_batch,
+    trial_batches,
 )
 from entangle_coord.qsim import DEGENERATE_BRANCH, QUBIT_CAP
 from entangle_coord.seeding import SplitMix64, derive_seed
@@ -48,7 +48,7 @@ def _scalar_tables(k: int, n_bits: int, seed: int):
 
 
 def _assert_matches_scalar(k, n_bits, noise, trials, master):
-    batch = run_batch(k, n_bits, noise, trials, master)
+    batch = ref.whole_batch(k, n_bits, noise, trials, master)
     assert batch.bits.shape == (k, trials, n_bits)
     records = list(batch.records())
     strings = [bit_strings(agent_bits) for agent_bits in batch.bits]
@@ -92,23 +92,28 @@ def test_chunk_boundaries_never_shift_a_trial(k, n_bits):
     lanes = BATCH_SLOTS // n_bits
     noise = NoiseModel(flip_prob=0.1, misalign_bob=0.4)
     for trials in (lanes + 1, 2 * lanes + 1):
-        batch = run_batch(k, n_bits, noise, trials, 77)
-        records = list(batch.records())
+        batch = ref.whole_batch(k, n_bits, noise, trials, 77)
         # the chunks tile the trials, lanes trials at a time, with their seeds
         chunks = list(protocol.trial_chunks(77, trials, n_bits))
         assert [part for part, _ in chunks] == [
             slice(start, min(trials, start + lanes)) for start in range(0, trials, lanes)]
         assert np.array_equal(np.concatenate([seeds for _, seeds in chunks]), batch.seeds)
+        # one batch per chunk, with the chunk's seeds
+        batches = list(trial_batches(k, n_bits, noise, trials, 77))
+        assert len(batches) == len(chunks)
+        for one, (_, seeds) in zip(batches, chunks):
+            assert np.array_equal(one.seeds, seeds)
+        records = [rec for one in batches for rec in one.records()]
         # the trials around each chunk edge, against the sequential reference
         for t in (0, lanes - 1, lanes, trials - 2, trials - 1):
             seed = derive_seed(77, t)
             assert int(batch.seeds[t]) == seed
             multi = ref.run_multiagent(k, n_bits, noise, seed)
             assert tuple(bit_strings(batch.bits[:, t])) == multi.bits
-            # records are built chunk by chunk too
+            # records built batch by batch, as iter_runs builds them
             assert records[t] == (ref.run_protocol(n_bits, noise, seed) if k == 2 else multi)
         # and a shorter batch holds the same leading trials
-        head = run_batch(k, n_bits, noise, lanes - 1, 77)
+        head = ref.whole_batch(k, n_bits, noise, lanes - 1, 77)
         assert np.array_equal(head.bits, batch.bits[:, : lanes - 1])
         assert np.array_equal(head.token_bases, batch.token_bases[:, : lanes - 1])
 
@@ -134,10 +139,10 @@ def test_wide_register_matches_scalar():
 def test_memory_does_not_grow_with_the_register():
     # a dense 2**20-amplitude register alone would take 8 MB per slot
     noise = NoiseModel(flip_prob=0.1, misalign_alice=0.2, misalign_bob=0.3)
-    run_batch(QUBIT_CAP, 1, noise, 2, 5)  # warm caches outside the measurement
+    ref.whole_batch(QUBIT_CAP, 1, noise, 2, 5)  # warm caches outside the measurement
     tracemalloc.start()
     try:
-        run_batch(QUBIT_CAP, 1, noise, 2, 5)
+        ref.whole_batch(QUBIT_CAP, 1, noise, 2, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -161,7 +166,7 @@ def _summary_cases(draw):
 def test_run_summary_equals_the_whole_batch_aggregates(case):
     k, n_bits, noise, trials, master = case
     summary = RunSummary.of_trials(k, n_bits, noise, trials, master)
-    batch = run_batch(k, n_bits, noise, trials, master)
+    batch = ref.whole_batch(k, n_bits, noise, trials, master)
     slot_agrees = (batch.bits == batch.bits[0]).all(axis=0)
     assert summary.trials == trials
     assert summary.agreement_rate == int(slot_agrees.all(axis=1).sum()) / trials
@@ -195,16 +200,16 @@ def test_action_number_counts_orders_numerically_beyond_64_bits():
 def test_run_batch_validates_arguments():
     quiet = NoiseModel()
     with pytest.raises(ValueError, match="at least 2 agents"):
-        run_batch(1, 1, quiet, 1, 0)
+        list(trial_batches(1, 1, quiet, 1, 0))
     with pytest.raises(ValueError, match="n_bits must be at least 1"):
-        run_batch(2, 0, quiet, 1, 0)
+        list(trial_batches(2, 0, quiet, 1, 0))
     with pytest.raises(ValueError, match="QUBIT_CAP"):
-        run_batch(21, 1, quiet, 1, 0)
+        list(trial_batches(21, 1, quiet, 1, 0))
     with pytest.raises(ValueError):
-        run_batch(2, 1, quiet, -1, 0)
+        list(trial_batches(2, 1, quiet, -1, 0))
     for master in (-1, 1 << 64):
         with pytest.raises(ValueError):
-            run_batch(2, 1, quiet, 1, master)
+            list(trial_batches(2, 1, quiet, 1, master))
     with pytest.raises(TypeError):
-        run_batch(2, 1, quiet, 1, 1.5)  # not truncated to master seed 1
-    assert run_batch(2, 1, quiet, 0, 0).bits.shape == (2, 0, 1)
+        list(trial_batches(2, 1, quiet, 1, 1.5))  # not truncated to master seed 1
+    assert list(trial_batches(2, 1, quiet, 0, 0)) == []

@@ -19,9 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_coord import analysis, cli
+from entangle_coord import __version__, analysis, cli, protocol
 from entangle_coord.adversary import BitRows
+from entangle_coord.protocol import NoiseModel
 from entangle_coord.qsim import QUBIT_CAP
+from entangle_coord.seeding import derive_seed
+
+import sequential_reference as ref
 
 
 @pytest.fixture(autouse=True)
@@ -256,6 +260,8 @@ def test_largest_seed_is_accepted(capsys, monkeypatch):
     (["reconcile", "--eps", "0"], "eps_hint 0.0 outside (0, 0.5]"),
     (["run", "--bits", "14285"], "--bits 14285 exceeds 14284: its action numbers would pass "
                                  "Python's limit of 4300 digits for printing an integer"),
+    (["run", "--bits", "-1"], "n_bits must be at least 1"),
+    (["reconcile", "--bits", "-1"], "n_bits must be at least 1"),
 ])
 def test_invalid_protocol_inputs_keep_their_messages(argv, message, capsys):
     code, out, err = invoke(argv, capsys)
@@ -267,7 +273,7 @@ def test_reconcile_checks_the_eps_hint_before_any_trial(monkeypatch, capsys):
     def no_trials(*args):
         raise AssertionError("trials ran before the eps hint was checked")
 
-    monkeypatch.setattr(cli, "run_batch", no_trials)
+    monkeypatch.setattr(protocol, "_run_chunk", no_trials)
     code, out, err = invoke(["reconcile", "--eps", "0", "--trials", "1000000000"], capsys)
     assert (code, out, err) == (2, "", "error: eps_hint 0.0 outside (0, 0.5]\n")
 
@@ -557,11 +563,11 @@ def test_subprocess_invocation_matches_in_process(capsys):
     cli.validate_envelope(json.loads(proc.stdout))
 
 
-def _run_peak(trials: int, capsys) -> int:
-    # the tracemalloc peak of one `run --bits 1` invocation, output included
+def _peak(argv, capsys) -> int:
+    # the tracemalloc peak of one invocation, output included
     tracemalloc.start()
     try:
-        assert cli.main(["run", "--bits", "1", "--trials", str(trials)]) == 0
+        assert cli.main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -569,10 +575,85 @@ def _run_peak(trials: int, capsys) -> int:
     return peak
 
 
+def _run_peak(trials: int, capsys) -> int:
+    return _peak(["run", "--bits", "1", "--trials", str(trials)], capsys)
+
+
 def test_run_memory_does_not_grow_with_the_trials(capsys):
     # run sums one chunk of trials at a time; 2**13 trials fill one chunk
     _run_peak(2**13, capsys)  # warm caches outside the measurement
     assert _run_peak(2**20, capsys) <= _run_peak(2**13, capsys) + (64 << 10)
+
+
+def _reconcile_peak(trials: int, capsys) -> int:
+    return _peak(["reconcile", "--bits", "512", "--eps", "0.001", "--trials", str(trials)],
+                 capsys)
+
+
+def test_reconcile_memory_does_not_grow_with_the_trials(capsys):
+    # reconcile holds one chunk of 16 trials at a time; holding all 384
+    # trials' bits and strings took about 370 KiB more
+    _reconcile_peak(16, capsys)  # warm caches outside the measurement
+    assert _reconcile_peak(384, capsys) <= _reconcile_peak(16, capsys) + (256 << 10)
+
+
+@st.composite
+def _reconcile_cases(draw):
+    # trial counts on both sides of the chunk edges, at lanes = 8192 // bits
+    bits = draw(st.integers(1, 12) | st.sampled_from([64, 512]))
+    lanes = 8192 // bits
+    trials = draw(st.sampled_from([lanes - 1, lanes, lanes + 1, 2 * lanes + 1]))
+    eps = draw(st.floats(0.0, 0.5, exclude_min=True))
+    return bits, eps, trials, draw(st.integers(0, 2**64 - 1))
+
+
+def _reference_reconcile(bits, eps, trials, master):
+    # reconcile's envelope from the sequential engines, trial by trial
+    successes = disclosed = passes = 0
+    for t in range(trials):
+        seed_t = derive_seed(master, t)
+        rec = ref.run_protocol(bits, NoiseModel(flip_prob=eps), seed_t)
+        report, _, _ = ref.scalar_reconcile(rec.alice_bits, rec.bob_bits, eps,
+                                            derive_seed(seed_t, 1))
+        successes += report.success
+        disclosed += report.disclosed_bits
+        passes += report.passes
+    results = {
+        "trials": trials,
+        "n": bits,
+        "eps": eps,
+        "success_rate": successes / trials,
+        "mean_disclosed_bits": disclosed / trials,
+        "mean_disclosure_rate": disclosed / (trials * bits),
+        "mean_passes": passes / trials,
+    }
+    parameters = {"bits": bits, "eps": eps, "trials": trials, "seed": master}
+    return {"command": "reconcile", "parameters": parameters, "seed": master,
+            "results": results, "version": __version__}
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=_reconcile_cases())
+def test_reconcile_output_equals_the_sequential_reference(case):
+    bits, eps, trials, master = case
+    envelope = _reference_reconcile(bits, eps, trials, master)
+    argv = ["reconcile", "--bits", str(bits), "--eps", repr(eps), "--trials", str(trials),
+            "--seed", str(master)]
+    envelope["parameters"]["format"] = "json"
+    assert _stdout(argv) == json.dumps(envelope, indent=2) + "\n"
+    columns = ["n", "eps", "trials", "success_rate", "mean_disclosed_bits",
+               "mean_disclosure_rate", "mean_passes"]
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerows([columns, [envelope["results"][column] for column in columns]])
+    assert _stdout(argv + ["--format", "csv"]) == table.getvalue()
 
 
 # each command, and the entangle_coord modules it must not load

@@ -17,7 +17,6 @@ from entangle_coord.protocol import (
     StateRegistry,
     StrikeSet,
     iter_runs,
-    run_batch,
     run_multiagent,
     run_protocol,
 )
@@ -29,6 +28,7 @@ from sequential_reference import (
     agent_measure,
     distribute_pairs,
     precommunicate,
+    whole_batch,
 )
 
 QUIET = NoiseModel()
@@ -237,7 +237,7 @@ def _table(base, n_bits):
 
 def test_precommunicate_issuer_split():
     # carl issues alice's table and dave bob's: no token is in both
-    batch = run_batch(2, 2, QUIET, 50, 8)
+    batch = whole_batch(2, 2, QUIET, 50, 8)
     for t, rec in enumerate(batch.records()):
         alice, bob = (_table(base, 2) for base in batch.token_bases[:, t])
         assert not set(alice) & set(bob)
@@ -246,7 +246,7 @@ def test_precommunicate_issuer_split():
 
 
 def test_tokens_are_opaque_and_fresh():
-    batch = run_batch(2, 2, QUIET, 2, 8)
+    batch = whole_batch(2, 2, QUIET, 2, 8)
     first, second = batch.records()
     tokens = first.alice_actions + first.bob_actions
     assert len(set(tokens)) == len(tokens)
@@ -261,7 +261,7 @@ def test_tokens_are_opaque_and_fresh():
 
 def test_both_tables_jointly_identify_the_strike():
     strikes = StrikeSet(3)
-    batch = run_batch(2, 3, QUIET, 1, 77)
+    batch = whole_batch(2, 3, QUIET, 1, 77)
     rec = next(batch.records(strikes))
     # each agent's base and its tokens decode its bits, hence the strike
     decoded = []
