@@ -19,13 +19,10 @@ order.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -39,6 +36,8 @@ from .seeding import check_seed, derive_seed
 
 def validate_envelope(envelope: dict) -> None:
     """Raise if the envelope does not conform to the shipped schema."""
+    from importlib import resources  # imported here: it loads tempfile and shutil
+
     import jsonschema  # an extra, not a runtime dependency
 
     schema = resources.files("entangle_coord").joinpath("schema/report_envelope_v1.json")
@@ -307,6 +306,9 @@ def render(envelope: dict, fmt: str, out) -> None:
         block.append("\n")
         out.write("".join(block))
         return
+    import csv  # only --format csv needs these
+    import io
+
     command = envelope["command"]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

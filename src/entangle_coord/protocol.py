@@ -51,6 +51,13 @@ With (c, s) = (cos t/2, sin t/2), the dense p1 has two nonzero terms,
 terms add exact zeros and two floats sum alike in either order, so the
 engine samples against qsim's p1.  The kept branch is renormalised by its
 own weight, as qsim's collapse does.
+
+Working set.  A chunk is computed in place in buffers allocated once per
+chunk: u and v, two float64 work arrays and two bool masks, besides the two
+arrays each seeding.uniforms call holds and the per-lane counters.  That is
+at most 9 arrays of 8 bytes per slot, 576 KiB for a full BATCH_SLOTS chunk,
+whatever k; only the outputs, k bytes per slot and k token bases per lane,
+come on top.
 """
 
 from __future__ import annotations
@@ -247,7 +254,8 @@ def _multi_record(seed: int, bits: tuple[str, ...], strikes: StrikeSet) -> Multi
 
 
 #: The trial drivers process trials in chunks of at most this many slots
-#: (trials x n_bits, at least one trial); their memory per chunk does not grow with k.
+#: (trials x n_bits, at least one trial); the batch kernel's working set per
+#: chunk is at most 9 x 8 bytes per slot (576 KiB), whatever k.
 BATCH_SLOTS = 1 << 13
 
 
@@ -390,12 +398,13 @@ def _action_tokens(bases: np.ndarray, bits: np.ndarray) -> list[tuple[str, ...]]
     return [tuple(flat[i : i + n_bits]) for i in range(0, len(flat), n_bits)]
 
 
-def _holders(seeds: np.ndarray, k: int, n_bits: int) -> np.ndarray:
-    # Each lane's stream position after the holder draws.  Every qubit of a
-    # Bell or GHZ register sits on the same two branches, so which one an
-    # agent holds never reaches a bit; only the number of draws does.
+def _holders(seeds: np.ndarray, k: int, n_bits: int) -> np.ndarray | np.uint64:
+    # Each lane's stream position after the holder draws, one for every lane
+    # when k = 2.  Every qubit of a Bell or GHZ register sits on the same two
+    # branches, so which one an agent holds never reaches a bit; only the
+    # number of draws does.
     if k == 2:
-        return np.full(len(seeds), n_bits, np.uint64)
+        return np.uint64(n_bits)
     counters = np.zeros(len(seeds), np.uint64)
     for _ in range(n_bits):  # Fisher-Yates per slot, in slot order
         for i in range(k - 1, 0, -1):
@@ -404,41 +413,111 @@ def _holders(seeds: np.ndarray, k: int, n_bits: int) -> np.ndarray:
 
 
 def _run_chunk(seeds, k, n_bits, noise) -> tuple[np.ndarray, np.ndarray]:
-    # Token bases (k, lanes) and bits (k, lanes, n_bits) of one chunk of trials.
-    counters = _holders(seeds, k, n_bits)
-    bases = stream_draws(seeds, counters + np.arange(k, dtype=np.uint64)[:, None])
-    bits = np.empty((k, len(seeds), n_bits), np.uint8)
-    counters = counters + k
+    # Token bases (k, lanes) and bits (k, lanes, n_bits) of one chunk of
+    # trials.  Besides these outputs it holds at most 9 arrays of 8 bytes per
+    # slot, 9 x 8 x BATCH_SLOTS bytes (576 KiB) for a full chunk; _measure
+    # itemises them.
+    holders = _holders(seeds, k, n_bits)
+    bits = _measure(seeds, holders, k, n_bits, noise)
+    # one draw per agent right after the holder draws, taken once _measure
+    # has freed its buffers
+    bases = np.empty((k, len(seeds)), np.uint64)
+    for agent in range(k):
+        bases[agent] = stream_draws(seeds, holders + agent)
+    return bases, bits
+
+
+def _measure(seeds, holders, k, n_bits, noise) -> np.ndarray:
+    # Every agent's bits (k, lanes, n_bits), reading each lane's stream from
+    # past the holder and token base draws.  Its working set: u, v, x and y
+    # below and the two arrays of one `uniforms` call make 6 arrays of 8
+    # bytes per slot, and the per-lane counters and holders, slot_index and
+    # the two bool masks add at most 2.25 more.  Each buffer is
+    # rewritten in place with the operations of the dense form, on the same
+    # operands in the same order, so every bit is the same.
+    shape = (len(seeds), n_bits)
+    bits = np.empty((k, *shape), np.uint8)
+    counters = np.full(len(seeds), holders, np.uint64)  # each lane's next draw
+    counters += k
     lane_seeds = seeds[:, None]
     # Each slot's two branch amplitudes (see the module docstring); both
     # start at the Bell state's 1/sqrt(2).
-    u = np.full((len(seeds), n_bits), qsim.prepare_bell().amplitudes[0].real)
+    u = np.full(shape, qsim.prepare_bell().amplitudes[0].real)
     v = u.copy()
+    x = np.empty(shape)  # p1, then the draw positions, then the collapse scale
+    y = np.empty(shape)  # a term of p1, then p0, then the collapse factors
+    positions = x.view(np.uint64)
+    low = np.empty(shape, bool)
+    born = np.empty(shape, bool)
+    slot_index = np.arange(n_bits, dtype=np.uint64)
     for agent in range(k):
         theta = noise.misalign_alice if agent == 0 else noise.misalign_bob
         flip = noise.flip_prob if agent else 0.0
         c = math.cos(theta / 2.0)
         s = math.sin(theta / 2.0)
-        if agent < k - 1:  # the rotated qubit splits each branch
-            a0, a1, b0, b1 = c * u, s * u, -(s * v), c * v
-            p1 = a1 * a1 + b1 * b1
+        if agent < k - 1:  # the rotated qubit splits each branch: p1 = (s*u)**2 + (c*v)**2
+            np.multiply(u, s, out=x)
+            x *= x
+            np.multiply(v, c, out=y)
+            y *= y
+            x += y
         else:  # one qubit left: u and v are its own two amplitudes
-            p1 = np.square(c * v + s * u)
-        p0 = 1.0 - p1
-        low = p1 < DEGENERATE_BRANCH
-        born = ~(low | (p0 < DEGENERATE_BRANCH))
-        used = born.astype(np.uint64) + (1 if flip else 0)
-        positions = counters[:, None] + (np.cumsum(used, axis=1) - used)
-        bit = np.where(born, ~(uniforms(lane_seeds, positions) < p0), ~low)
-        if agent < k - 1:  # collapse onto the observed branch, by its own weight
-            scale = 1.0 / np.sqrt(np.where(bit, p1, a0 * a0 + b0 * b0))
-            u = np.where(bit, a1, a0) * scale
-            v = np.where(bit, b1, b0) * scale
+            np.multiply(v, c, out=x)
+            np.multiply(u, s, out=y)
+            x += y
+            np.square(x, out=x)
+        np.subtract(1.0, x, out=y)
+        np.less(x, DEGENERATE_BRANCH, out=low)
+        np.less(y, DEGENERATE_BRANCH, out=born)
+        born |= low
+        np.logical_not(born, out=born)
+        # each slot's Born draw, then its flip draw: positions past the
+        # draws of the slots before it
+        np.cumsum(born, axis=1, dtype=np.uint64, out=positions)
+        positions -= born
         if flip:
-            bit ^= uniforms(lane_seeds, positions + born) < flip
-        bits[agent] = bit
-        counters = counters + used.sum(axis=1)
-    return bases, bits
+            positions += slot_index
+        positions += counters[:, None]
+        counters += born.sum(axis=1, dtype=np.uint64) + (n_bits if flip else 0)
+        # bit = where(born, ~(draw < p0), ~low); low and born never overlap
+        bit = bits[agent].view(bool)
+        np.less(uniforms(lane_seeds, positions), y, out=bit)
+        bit &= born
+        bit |= low
+        np.logical_not(bit, out=bit)
+        if flip:  # low is spent: it holds the flips
+            positions += born
+            np.less(uniforms(lane_seeds, positions), flip, out=low)
+        if agent < k - 1:
+            # Collapse onto the observed branch, renormalised by its own
+            # weight: with (a0, a1) = (c*u, s*u) and (b0, b1) = (-(s*v), c*v),
+            # x = 1/sqrt(where(bit, p1, a0*a0 + b0*b0)), u = where(bit, a1, a0)
+            # * x and v = where(bit, b1, b0) * x.  Picking the factor first
+            # gives the same products; -(s*v) = (-s)*v and b0*b0 = (s*v)**2.
+            _pick(x, bit, s, c)
+            x *= u
+            x *= x
+            _pick(y, bit, c, s)
+            y *= v
+            y *= y
+            x += y
+            np.sqrt(x, out=x)
+            np.divide(1.0, x, out=x)
+            _pick(y, bit, s, c)
+            u *= y
+            u *= x
+            _pick(y, bit, c, -s)
+            v *= y
+            v *= x
+        if flip:
+            bit ^= low
+    return bits
+
+
+def _pick(out: np.ndarray, bit: np.ndarray, one: float, zero: float) -> None:
+    # out = where(bit, one, zero), in place.
+    out.fill(zero)
+    np.copyto(out, one, where=bit)
 
 
 def _check_run(k_agents: int, n_bits: int) -> None:

@@ -71,19 +71,37 @@ def stream_draws(seeds, counters) -> np.ndarray:
     once; numpy's uint64 arithmetic wraps mod 2**64 like the masks above.
     With a master seed and trial indices this is :func:`derive_seed`.  Pass
     arrays (or one array and a scalar): seeds must already lie in [0, 2**64).
+    It computes in place on its result plus one scratch array, and never
+    writes into an argument.
     """
-    z = np.asarray(seeds, np.uint64) + (np.asarray(counters, np.uint64) + 1) * GAMMA
-    z ^= z >> 30
+    seeds = np.asarray(seeds, np.uint64)
+    counters = np.asarray(counters)
+    z = np.empty(np.broadcast_shapes(seeds.shape, counters.shape), np.uint64)
+    np.add(counters, 1, out=z, casting="unsafe")  # an int64 counter wraps as asarray would
+    z *= GAMMA
+    z += seeds
+    scratch = np.empty_like(z)
+    np.right_shift(z, 30, out=scratch)
+    z ^= scratch
     z *= _MIX1
-    z ^= z >> 27
+    np.right_shift(z, 27, out=scratch)
+    z ^= scratch
     z *= _MIX2
-    z ^= z >> 31
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
     return z
 
 
 def uniforms(seeds, counters) -> np.ndarray:
-    """:meth:`SplitMix64.random` of draw `counters` of stream `seeds`, elementwise."""
-    return (stream_draws(seeds, counters) >> 11).astype(np.float64) * _UNIT
+    """:meth:`SplitMix64.random` of draw `counters` of stream `seeds`, elementwise.
+
+    It holds at most two arrays of the result's size at once.
+    """
+    z = stream_draws(seeds, counters)
+    z >>= 11  # below 2**53, so the conversion to float64 is exact
+    draws = z.astype(np.float64)  # a ufunc would cast through one more buffer
+    draws *= _UNIT
+    return draws
 
 
 def randrange(seeds: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:

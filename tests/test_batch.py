@@ -87,7 +87,7 @@ def test_batch_equals_scalar_reference(n_bits, k, eps, theta_a, theta_b, master,
     _assert_matches_scalar(k, n_bits, noise, trials, master)
 
 
-@pytest.mark.parametrize("k,n_bits", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("k,n_bits", [(2, 1), (3, 2), (4, 3)])
 def test_chunk_boundaries_never_shift_a_trial(k, n_bits):
     lanes = BATCH_SLOTS // n_bits
     noise = NoiseModel(flip_prob=0.1, misalign_bob=0.4)
@@ -134,6 +134,23 @@ def test_views_at_the_seed_domain_edges(k, seed):
 def test_wide_register_matches_scalar():
     noise = NoiseModel(flip_prob=0.2, misalign_alice=-0.7, misalign_bob=0.3)
     _assert_matches_scalar(12, 2, noise, 2, 5)
+
+
+@pytest.mark.parametrize("k,n_bits", [(2, 1), (4, 8)])
+def test_run_chunk_working_set_is_bounded(k, n_bits):
+    # the protocol docstring's bound, 9 arrays of 8 bytes per slot, on one
+    # full chunk with rotations, collapses and flips; the outputs count too
+    noise = NoiseModel(flip_prob=0.05, misalign_alice=0.3, misalign_bob=-0.2)
+    [(part, seeds)] = protocol.trial_chunks(3, BATCH_SLOTS // n_bits, n_bits)
+    assert (part.stop - part.start) * n_bits == BATCH_SLOTS
+    protocol._run_chunk(seeds, k, n_bits, noise)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        protocol._run_chunk(seeds, k, n_bits, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 8 * BATCH_SLOTS
 
 
 def test_memory_does_not_grow_with_the_register():

@@ -3,8 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entangle_coord.seeding import SplitMix64, derive_seed, shuffle, stream_draws
+from entangle_coord.seeding import (
+    GAMMA,
+    SplitMix64,
+    derive_seed,
+    shuffle,
+    stream_draws,
+    uniforms,
+)
 
 VECTORS = json.loads((Path(__file__).parent / "data" / "seed_vectors.json").read_text())
 
@@ -53,6 +62,51 @@ def test_stream_draws_address_the_sequential_stream(seed):
     # a master stream's outputs are the derived trial seeds
     trials = np.arange(1000, dtype=np.uint64)
     assert stream_draws(seed, trials).tolist() == [derive_seed(seed, t) for t in range(1000)]
+
+
+def _at(seed, position):
+    # SplitMix64(seed) about to read draw `position`: its state is
+    # seed + position * GAMMA, so the next calls read that draw
+    return SplitMix64((seed + position * GAMMA) % 2**64)
+
+
+@st.composite
+def _kernel_arguments(draw):
+    # (seeds, counters) in every form a caller passes: Python ints, int64
+    # and uint64 arrays, and a (lanes, 1) column against a (lanes, n) block
+    lanes = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=lanes, max_size=lanes))
+    positions = draw(st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 40),
+                              min_size=lanes * n, max_size=lanes * n))
+    block = np.array(positions, np.int64).reshape(lanes, n)
+    column = np.array(seeds, np.uint64)[:, None]
+    return draw(st.sampled_from([
+        (seeds[0], positions[0]),
+        (seeds[0], block[0]),
+        (seeds[0], block[0].astype(np.uint64) + np.uint64(2**63)),  # the top half too
+        (np.array(seeds, np.uint64), block[:, 0].astype(np.uint64)),
+        (column, block),
+        (column, block.astype(np.uint64)),
+    ]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=_kernel_arguments())
+def test_stream_kernels_read_the_sequential_stream_draw_by_draw(args):
+    seeds, counters = args
+    before = [np.array(arg, copy=True) for arg in args]
+    pairs = np.broadcast_arrays(np.asarray(seeds, object), np.asarray(counters, object))
+    pairs = list(zip(pairs[0].ravel().tolist(), pairs[1].ravel().tolist()))
+    draws = stream_draws(seeds, counters)
+    assert draws.dtype == np.uint64
+    assert draws.ravel().tolist() == [_at(s, j).next_uint64() for s, j in pairs]
+    floats = uniforms(seeds, counters)
+    assert floats.shape == draws.shape and floats.dtype == np.float64
+    assert floats.ravel().tolist() == [_at(s, j).random() for s, j in pairs]
+    # no argument is written into
+    for arg, copy in zip(args, before):
+        assert np.array_equal(np.asarray(arg), copy) and np.asarray(arg).dtype == copy.dtype
 
 
 def sequential_shuffle(seed, n):
