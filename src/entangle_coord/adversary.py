@@ -31,9 +31,10 @@ Every slot walks one path through the same outcome tree (at most 1 + 2 + 4
 states), so each call builds that tree once from `qsim.branches`, which
 gives every node's two children and the p0 a draw is compared with, and
 then computes every draw from its (trial seed, stream position) pair,
-vectorised over trials.  The bits land in one (3, trials, n_bits) uint8
-array, and every count behind a report's rates (matching strings, joint
-outcomes, Eve's zeros, Wolf's matches) is taken from that array, and the
+vectorised over trials.  The driver returns only the bits, one
+(3, trials, n_bits) uint8 array, and every count behind a report's rates
+(matching strings, joint outcomes, Eve's zeros, Wolf's matches, the slots
+behind the GHZ separability verdict) is taken from that array.  The
 report's transcripts are read-only views of it, `protocol.BitRows`, also
 importable from here: a bit string is built only when one is asked for.
 """
@@ -107,7 +108,6 @@ class AttackReport:
 class _Level(NamedTuple):
     """One measurement step of an outcome tree; node i is the path's bits so far."""
 
-    states: list  # (2**step,) PureState, or None where no path leads
     p0: np.ndarray  # (2**step,) float64: where born, the threshold u < p0 picks bit 0 by
     born: np.ndarray  # (2**step,) bool: both branches possible, so a draw decides
     forced: np.ndarray  # (2**step,) bool: the bit of a node that is not born
@@ -122,7 +122,7 @@ def _outcome_tree(state: qsim.PureState, order: tuple[int, int, int]) -> list[_L
         pairs = [qsim.branches(node, qubit) if node else (None, None) for node in states]
         possible = np.array([[out is not None for out in pair] for pair in pairs])
         p0 = np.array([zero.probability if zero else 0.0 for zero, _ in pairs])
-        levels.append(_Level(states, p0, possible.all(axis=1), possible[:, 1]))
+        levels.append(_Level(p0, possible.all(axis=1), possible[:, 1]))
         states = [None if out is None else out.post_state for pair in pairs for out in pair]
     return levels
 
@@ -133,13 +133,11 @@ def _three_holder_attack(
     n_bits: int,
     trials: int,
     seed: int,
-) -> tuple[np.ndarray, dict[int, tuple[qsim.PureState, int]]]:
+) -> np.ndarray:
     """Measure a fresh copy of `state` in `order` for every slot of every trial.
 
-    Returns the bits as a (3, trials, n_bits) uint8 array indexed by qubit,
-    and for each possible outcome of the first measurement, the state it
-    leaves and how many slots saw it.  Trial t reads the stream of
-    derive_seed(seed, t).
+    Returns the bits as a (3, trials, n_bits) uint8 array indexed by qubit.
+    Trial t reads the stream of derive_seed(seed, t).
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -160,11 +158,7 @@ def _three_holder_attack(
                     counters += born
                 out[qubit, :, slot] = bit
                 node = 2 * node + bit
-    ones = int(np.count_nonzero(bits[order[0]]))
-    counts = (n_bits * trials - ones, ones)
-    first = {bit: (post, counts[bit]) for bit, post in enumerate(levels[1].states)
-             if post is not None}
-    return bits, first
+    return bits
 
 
 def _joint_counts(*holders: np.ndarray) -> list[int]:
@@ -219,12 +213,14 @@ def eve_ghz_attack(n_bits: int, trials: int, eve_first: bool, seed: int) -> Atta
     # each remaining holder must be left in a product with the other two
     # qubits, even though the remaining bits stay correlated
     cuts = [((q,), tuple(p for p in range(3) if p != q)) for q in order[1:]]
-    bits, first = _three_holder_attack(qsim.prepare_ghz(3), order, n_bits, trials, seed)
-    # one verdict per state the first measurement leaves, weighted by its slots
-    separable = sum(
-        slots for state, slots in first.values()
-        if slots and all(qsim.is_product(state, cut).separable for cut in cuts)
-    )
+    ghz = qsim.prepare_ghz(3)
+    bits = _three_holder_attack(ghz, order, n_bits, trials, seed)
+    ones = int(np.count_nonzero(bits[order[0]]))
+    # one verdict per state the first measurement leaves, weighted by its
+    # slots; qsim.branches returns the outcomes the driver's tree cached
+    outcomes = zip(qsim.branches(ghz, order[0]), (n_bits * trials - ones, ones))
+    separable = sum(slots for outcome, slots in outcomes if slots and all(
+        qsim.is_product(outcome.post_state, cut).separable for cut in cuts))
     return _report(GHZ_ATTACK, bits, {
         "eve_first": bool(eve_first),
         "remainder_separable_rate": separable / (n_bits * trials),
@@ -239,7 +235,7 @@ def eve_w_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     anti-correlated pair and always disagree), so the channel degrades into
     denial of service rather than eavesdropping.
     """
-    bits, _ = _three_holder_attack(qsim.prepare_w(), (0, 1, 2), n_bits, trials, seed)
+    bits = _three_holder_attack(qsim.prepare_w(), (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
     joint = _joint_counts(*bits)  # index 0b(eve alice bob)
     eve_zero = sum(joint[:4])
@@ -260,7 +256,7 @@ def biseparable_attack(n_bits: int, trials: int, seed: int) -> AttackReport:
     correlation with the action number — and the residual anti-correlated
     pair breaks Alice-Bob agreement outright.
     """
-    bits, _ = _three_holder_attack(qsim.prepare_biseparable(), (0, 1, 2), n_bits, trials, seed)
+    bits = _three_holder_attack(qsim.prepare_biseparable(), (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
     eve, alice, bob = bits
     joint = _joint_counts(alice, bob)
@@ -299,7 +295,7 @@ def wolf_cnot_attack(n_bits: int, trials: int, target_bit: int, seed: int) -> At
     Alice and Bob still agree perfectly; with |1> he reads the complement.
     """
     triple = build_wolf_triple(target_bit)
-    (alice, bob, wolf), _ = _three_holder_attack(triple, (0, 1, 2), n_bits, trials, seed)
+    alice, bob, wolf = _three_holder_attack(triple, (0, 1, 2), n_bits, trials, seed)
     slots = n_bits * trials
     matches = int(np.count_nonzero(wolf == alice))
     return _report(WOLF_CNOT_ATTACK, (wolf, alice, bob), {

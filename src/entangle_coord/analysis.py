@@ -263,8 +263,7 @@ def check_eps_hint(eps_hint: float) -> None:
 
 
 def _pass_order(seed: int, pass_number: int, n: int) -> np.ndarray:
-    perm, _ = shuffle(derive_seed(seed, pass_number), n)
-    return np.array(perm)
+    return np.array(shuffle(derive_seed(seed, pass_number), n))
 
 
 def reconcile(

@@ -35,13 +35,16 @@ from .seeding import check_seed, derive_seed
 
 
 def validate_envelope(envelope: dict) -> None:
-    """Raise if the envelope does not conform to the shipped schema."""
+    """Raise if the envelope does not conform to the shipped schema.
+
+    The test suite checks the schema itself against its metaschema, once.
+    """
     from importlib import resources  # imported here: it loads tempfile and shutil
 
     import jsonschema  # an extra, not a runtime dependency
 
     schema = resources.files("entangle_coord").joinpath("schema/report_envelope_v1.json")
-    jsonschema.validate(envelope, json.loads(schema.read_text("utf-8")))
+    jsonschema.Draft202012Validator(json.loads(schema.read_text("utf-8"))).validate(envelope)
 
 
 def _resolve_seed(flag_value: int | None) -> int:

@@ -25,7 +25,8 @@ order, and nothing else:
 1. holders: one draw per slot (k = 2, the top bit of one draw gives the
    qubit alice holds), or per slot a Fisher-Yates shuffle of the k qubit
    positions (k > 2, `randrange` with rejection);
-2. one token base per agent, in agent order;
+2. one token base per agent, in agent order, read only by a two-party
+   record (`TrialBatch.records`);
 3. per agent, in agent order, and per slot, in slot order: a Born draw only
    if neither branch is below qsim.DEGENERATE_BRANCH, then a flip draw if
    the flip probability is positive and the agent is not alice.
@@ -55,9 +56,8 @@ own weight, as qsim's collapse does.
 Working set.  A chunk is computed in place in buffers allocated once per
 chunk: u and v, two float64 work arrays and two bool masks, besides the two
 arrays each seeding.uniforms call holds and the per-lane counters.  That is
-at most 9 arrays of 8 bytes per slot, 576 KiB for a full BATCH_SLOTS chunk,
-whatever k; only the outputs, k bytes per slot and k token bases per lane,
-come on top.
+at most 9 arrays of 8 bytes per slot, 576 KiB for a full BATCH_SLOTS chunk;
+only the output bits, k bytes per slot, come on top, for every k.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from . import qsim
 # patches qsim.measure_qubit; binding the operators by name keeps it from
 # counting a registry measurement twice.
 from .qsim import DEGENERATE_BRANCH, PureState, apply_y_rotation, measure_qubit
-from .seeding import check_seed, randrange, stream_draws, uniforms
+from .seeding import check_seed, skip_randrange, stream_draws, uniforms
 
 #: RunRecord strike value when the two bit strings disagree.
 AMBIGUOUS = "ambiguous"
@@ -255,7 +255,8 @@ def _multi_record(seed: int, bits: tuple[str, ...], strikes: StrikeSet) -> Multi
 
 #: The trial drivers process trials in chunks of at most this many slots
 #: (trials x n_bits, at least one trial); the batch kernel's working set per
-#: chunk is at most 9 x 8 bytes per slot (576 KiB), whatever k.
+#: chunk is at most 9 x 8 bytes per slot (576 KiB), and only the k output
+#: bytes per slot come on top, for every k.
 BATCH_SLOTS = 1 << 13
 
 
@@ -285,7 +286,6 @@ class TrialBatch(NamedTuple):
     """One chunk of trials of one master seed, as arrays indexed by lane."""
 
     seeds: np.ndarray  # (lanes,) uint64: each trial's derive_seed(master_seed, t)
-    token_bases: np.ndarray  # (k, lanes) uint64: each agent's table base
     bits: np.ndarray  # (k, lanes, n_bits) uint8: agents in canonical order
 
     def records(self, strikes: StrikeSet | None = None) -> Iterator[RunRecord | MultiRunRecord]:
@@ -293,15 +293,16 @@ class TrialBatch(NamedTuple):
 
         Each equals what run_protocol / run_multiagent return for the lane's
         seed, and what the sequential reference in the test suite
-        (tests/sequential_reference.py) gives for it.
+        (tests/sequential_reference.py) gives for it.  Agent a's table base
+        (k = 2) is drawn here, as draw n_bits + a of the lane's stream.
         """
         k, _, n_bits = self.bits.shape
         strikes = _resolve_strikes(strikes, n_bits)
         strings = [bit_strings(agent_bits) for agent_bits in self.bits]
         seeds = self.seeds.tolist()
         if k == 2:
-            actions = [_action_tokens(base, agent_bits)
-                       for base, agent_bits in zip(self.token_bases, self.bits)]
+            actions = [_action_tokens(stream_draws(self.seeds, n_bits + agent), agent_bits)
+                       for agent, agent_bits in enumerate(self.bits)]
             for row in zip(seeds, *strings, *actions):
                 yield _run_record(*row, strikes)
         else:
@@ -398,46 +399,30 @@ def _action_tokens(bases: np.ndarray, bits: np.ndarray) -> list[tuple[str, ...]]
     return [tuple(flat[i : i + n_bits]) for i in range(0, len(flat), n_bits)]
 
 
-def _holders(seeds: np.ndarray, k: int, n_bits: int) -> np.ndarray | np.uint64:
-    # Each lane's stream position after the holder draws, one for every lane
-    # when k = 2.  Every qubit of a Bell or GHZ register sits on the same two
-    # branches, so which one an agent holds never reaches a bit; only the
-    # number of draws does.
-    if k == 2:
-        return np.uint64(n_bits)
+def _holders(seeds: np.ndarray, k: int, n_bits: int) -> np.ndarray:
+    # Each lane's stream position after the holder draws.  Every qubit of a
+    # Bell or GHZ register sits on the same two branches, so which one an
+    # agent holds never reaches a bit; only the number of draws does.
+    if k == 2:  # one draw per slot
+        return np.full(len(seeds), n_bits, np.uint64)
     counters = np.zeros(len(seeds), np.uint64)
     for _ in range(n_bits):  # Fisher-Yates per slot, in slot order
         for i in range(k - 1, 0, -1):
-            randrange(seeds, counters, i + 1)
+            skip_randrange(seeds, counters, i + 1)
     return counters
 
 
-def _run_chunk(seeds, k, n_bits, noise) -> tuple[np.ndarray, np.ndarray]:
-    # Token bases (k, lanes) and bits (k, lanes, n_bits) of one chunk of
-    # trials.  Besides these outputs it holds at most 9 arrays of 8 bytes per
-    # slot, 9 x 8 x BATCH_SLOTS bytes (576 KiB) for a full chunk; _measure
-    # itemises them.
-    holders = _holders(seeds, k, n_bits)
-    bits = _measure(seeds, holders, k, n_bits, noise)
-    # one draw per agent right after the holder draws, taken once _measure
-    # has freed its buffers
-    bases = np.empty((k, len(seeds)), np.uint64)
-    for agent in range(k):
-        bases[agent] = stream_draws(seeds, holders + agent)
-    return bases, bits
-
-
-def _measure(seeds, holders, k, n_bits, noise) -> np.ndarray:
-    # Every agent's bits (k, lanes, n_bits), reading each lane's stream from
-    # past the holder and token base draws.  Its working set: u, v, x and y
-    # below and the two arrays of one `uniforms` call make 6 arrays of 8
-    # bytes per slot, and the per-lane counters and holders, slot_index and
-    # the two bool masks add at most 2.25 more.  Each buffer is
-    # rewritten in place with the operations of the dense form, on the same
-    # operands in the same order, so every bit is the same.
+def _run_chunk(seeds, k, n_bits, noise) -> np.ndarray:
+    # Every agent's bits (k, lanes, n_bits) of one chunk of trials, read from
+    # past the holder and token base draws.  Its working set: u, v, x, y and
+    # the two arrays of one `uniforms` call make 6 arrays of 8 bytes per
+    # slot, and the per-lane counters and their update, slot_index and the
+    # two bool masks at most 2.25 more.  Each buffer is rewritten in place
+    # with the dense form's operations, on the same operands in the same
+    # order, so every bit is the same.
     shape = (len(seeds), n_bits)
     bits = np.empty((k, *shape), np.uint8)
-    counters = np.full(len(seeds), holders, np.uint64)  # each lane's next draw
+    counters = _holders(seeds, k, n_bits)  # each lane's next draw
     counters += k
     lane_seeds = seeds[:, None]
     # Each slot's two branch amplitudes (see the module docstring); both
@@ -541,7 +526,7 @@ def trial_batches(
     if trials < 0:
         raise ValueError("trials must be non-negative")
     chunks = trial_chunks(master_seed, trials, n_bits)
-    return (TrialBatch(seeds, *_run_chunk(seeds, k_agents, n_bits, noise)) for _, seeds in chunks)
+    return (TrialBatch(seeds, _run_chunk(seeds, k_agents, n_bits, noise)) for _, seeds in chunks)
 
 
 @dataclass(frozen=True)
@@ -621,7 +606,7 @@ def _one_trial(k_agents: int, n_bits: int, noise: NoiseModel, seed: int) -> Tria
     # The run with trial seed `seed`, as a batch of one lane.
     _check_run(k_agents, n_bits)
     seeds = np.array([check_seed(seed, "seed")], np.uint64)
-    return TrialBatch(seeds, *_run_chunk(seeds, k_agents, n_bits, noise))
+    return TrialBatch(seeds, _run_chunk(seeds, k_agents, n_bits, noise))
 
 
 def run_protocol(

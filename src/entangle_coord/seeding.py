@@ -21,9 +21,9 @@ outside that range is rejected rather than reduced, and a float is a
 TypeError rather than truncated; no two distinct inputs alias one stream.
 
 Draw j of a stream is addressed by (seed, j) alone, so the numpy kernels
-here (raw draws, uniforms, rejection-sampled integers and the Fisher-Yates
-shuffle) compute whole blocks or lanes of draws at once and equal what
-:class:`SplitMix64` reads one at a time.
+here (raw draws, uniforms, the draw counts of rejection-sampled integers
+and the Fisher-Yates shuffle) compute whole blocks or lanes of draws at
+once and equal what :class:`SplitMix64` reads one at a time.
 """
 
 from __future__ import annotations
@@ -104,37 +104,33 @@ def uniforms(seeds, counters) -> np.ndarray:
     return draws
 
 
-def randrange(seeds: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
-    """:meth:`SplitMix64.randrange` of `n` on every lane, from its counter on.
+def skip_randrange(seeds: np.ndarray, counters: np.ndarray, n: int) -> None:
+    """Advance `counters` past the draws :meth:`SplitMix64.randrange` of `n` >= 2 reads.
 
-    Lane i reads stream `seeds[i]` from position `counters[i]`; `counters` is
-    advanced in place past the draws each lane used, rejected ones included.
+    Lane i reads stream `seeds[i]` from position `counters[i]`, rejected
+    draws included; only how many draws each lane used is kept.
     """
     shift = 64 - (n - 1).bit_length()
-    values = np.empty(len(seeds), np.intp)
     pending = np.arange(len(seeds))
     while pending.size:
-        drawn = stream_draws(seeds[pending], counters[pending]) >> shift
+        drawn = stream_draws(seeds[pending], counters[pending])
+        drawn >>= shift
         counters[pending] += 1
-        ok = drawn < n
-        values[pending[ok]] = drawn[ok]
-        pending = pending[~ok]
-    return values
+        pending = pending[drawn >= n]
 
 
-def shuffle(seed: int, n: int) -> tuple[list[int], int]:
+def shuffle(seed: int, n: int) -> list[int]:
     """The Fisher-Yates permutation of range(n) drawn by SplitMix64(`seed`).
 
-    Returns the permutation and the number of draws it used.  Step i (from
-    n - 1 down to 1) swaps position i with j = randrange(i + 1): the top
-    i.bit_length() bits of the next draw, rejected until j <= i.  The draws
-    are computed in blocks from their stream positions; only the rejection
-    scan runs one draw at a time.
+    Step i (from n - 1 down to 1) swaps position i with j = randrange(i + 1):
+    the top i.bit_length() bits of the next draw, rejected until j <= i.  The
+    draws are computed in blocks from their stream positions; only the
+    rejection scan runs one draw at a time.
     """
     seed = check_seed(seed, "seed")
     perm = list(range(n))
     if n < 2:
-        return perm, 0
+        return perm
     i = n - 1
     shift = 64 - i.bit_length()
     low = 1 << (i.bit_length() - 1)  # the smallest i of this width
@@ -153,7 +149,7 @@ def shuffle(seed: int, n: int) -> tuple[list[int], int]:
                         break
                     low >>= 1
                     shift += 1
-    return perm, used
+    return perm
 
 
 class SplitMix64:

@@ -213,7 +213,6 @@ def whole_batch(
     """Trials 0..trials-1 (at least one) as one TrialBatch, joined from trial_batches."""
     batches = list(trial_batches(k_agents, n_bits, noise, trials, master_seed))
     return TrialBatch(np.concatenate([batch.seeds for batch in batches]),
-                      np.concatenate([batch.token_bases for batch in batches], axis=1),
                       np.concatenate([batch.bits for batch in batches], axis=1))
 
 

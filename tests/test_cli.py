@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entangle_coord import __version__, analysis, cli, protocol
-from entangle_coord.adversary import BitRows
+from entangle_coord.adversary import AttackReport, BitRows
 from entangle_coord.protocol import NoiseModel
 from entangle_coord.qsim import QUBIT_CAP
 from entangle_coord.seeding import derive_seed
@@ -529,6 +530,66 @@ def test_schema_rejects_malformed_envelopes(capsys):
     envelope["extra"] = 1
     with pytest.raises(jsonschema.ValidationError):
         cli.validate_envelope(envelope)
+
+
+_SCHEMA = json.loads((pathlib.Path(cli.__file__).parent / "schema"
+                      / "report_envelope_v1.json").read_text("utf-8"))
+_GOLDEN_JSON = sorted((pathlib.Path(__file__).parent / "data" / "golden").glob("*.json"))
+
+
+def test_shipped_schema_is_a_draft_2020_12_schema():
+    # cli.validate_envelope does not check the schema itself
+    jsonschema.Draft202012Validator.check_schema(_SCHEMA)
+    assert _SCHEMA["$id"] == "entangle-coord/report_envelope_v1"
+
+
+def test_schema_rejects_a_renamed_result_key(capsys):
+    # `nicd --m 2 --eps 0.1 | sed s/search_size/x/` once passed validation
+    _, out, _ = invoke(["nicd", "--m", "2", "--eps", "0.1"], capsys)
+    cli.validate_envelope(json.loads(out))
+    with pytest.raises(jsonschema.ValidationError):
+        cli.validate_envelope(json.loads(out.replace("search_size", "x")))
+
+
+@pytest.mark.parametrize("path", _GOLDEN_JSON, ids=lambda path: path.stem)
+def test_dropping_any_parameter_or_result_key_fails_validation(path):
+    text = path.read_text("utf-8")
+    cli.validate_envelope(json.loads(text))
+    for part in ("parameters", "results"):
+        # bound's results are a list of rows; every other part is one object
+        value = json.loads(text)[part]
+        for row in range(len(value)) if isinstance(value, list) else [None]:
+            for key in value if row is None else value[row]:
+                if (part, key) == ("parameters", "grid"):
+                    continue  # `bound --eps` envelopes have no grid either
+                envelope = json.loads(text)
+                target = envelope[part] if row is None else envelope[part][row]
+                del target[key]
+                with pytest.raises(jsonschema.ValidationError):
+                    cli.validate_envelope(envelope)
+
+
+def _properties(*path):
+    node = _SCHEMA["$defs"]
+    for key in path:
+        node = node[key]
+    return list(node["properties"])
+
+
+def test_each_results_subschema_lists_its_result_type_fields_in_order():
+    def names(cls):
+        return [field.name for field in dataclasses.fields(cls)]
+
+    assert _properties("run", "properties", "results") == names(protocol.RunSummary)
+    assert _properties("RunRecord") == list(protocol.RunRecord._fields)
+    assert _properties("MultiRunRecord") == list(protocol.MultiRunRecord._fields)
+    assert _properties("AttackReport") == names(AttackReport)
+    assert _properties("BoundRow") == names(analysis.BoundRow)
+    assert _properties("NicdResult") == names(analysis.NicdResult)
+    # the reconcile aggregates have no result type: a golden file's keys
+    reconcile = json.loads(next(p for p in _GOLDEN_JSON if p.stem.startswith("reconcile"))
+                           .read_text("utf-8"))
+    assert _properties("reconcile", "properties", "results") == list(reconcile["results"])
 
 
 def test_readme_command_line_examples_run(capsys):

@@ -20,7 +20,7 @@ from entangle_coord.protocol import (
     run_multiagent,
     run_protocol,
 )
-from entangle_coord.seeding import SplitMix64, derive_seed
+from entangle_coord.seeding import SplitMix64, derive_seed, stream_draws
 
 from sequential_reference import (
     ActionTable,
@@ -230,16 +230,18 @@ def test_agent_measure_validates_inputs():
 # --------------------------------------------------------------- secrecy
 
 
-def _table(base, n_bits):
-    # An agent's whole action table: slot i holds base + 2i and base + 2i + 1.
-    return ["%016x" % ((int(base) + j) % (1 << 64)) for j in range(2 * n_bits)]
+def _table(seed, agent, n_bits):
+    # An agent's whole action table: its base is draw n_bits + agent of the
+    # trial's stream, and slot i holds base + 2i and base + 2i + 1.
+    base = int(stream_draws(seed, n_bits + agent))
+    return ["%016x" % ((base + j) % (1 << 64)) for j in range(2 * n_bits)]
 
 
 def test_precommunicate_issuer_split():
     # carl issues alice's table and dave bob's: no token is in both
     batch = whole_batch(2, 2, QUIET, 50, 8)
-    for t, rec in enumerate(batch.records()):
-        alice, bob = (_table(base, 2) for base in batch.token_bases[:, t])
+    for rec in batch.records():
+        alice, bob = (_table(rec.seed, agent, 2) for agent in range(2))
         assert not set(alice) & set(bob)
         assert set(rec.alice_actions) <= set(alice)
         assert set(rec.bob_actions) <= set(bob)
@@ -255,7 +257,7 @@ def test_tokens_are_opaque_and_fresh():
         assert "strike" not in tok and first.strike not in tok
     # another seed issues other tables
     assert first.seed != second.seed
-    assert not set(_table(batch.token_bases[0, 0], 2)) & set(_table(batch.token_bases[0, 1], 2))
+    assert not set(_table(first.seed, 0, 2)) & set(_table(second.seed, 0, 2))
     assert first.alice_actions != second.alice_actions
 
 
@@ -265,8 +267,8 @@ def test_both_tables_jointly_identify_the_strike():
     rec = next(batch.records(strikes))
     # each agent's base and its tokens decode its bits, hence the strike
     decoded = []
-    for base, actions in zip(batch.token_bases[:, 0], (rec.alice_actions, rec.bob_actions)):
-        table = _table(base, 3)
+    for agent, actions in enumerate((rec.alice_actions, rec.bob_actions)):
+        table = _table(rec.seed, agent, 3)
         decoded.append("".join(str(table.index(tok) - 2 * i) for i, tok in enumerate(actions)))
     assert decoded == [rec.alice_bits, rec.bob_bits]
     assert strikes.label(int(decoded[0], 2)) == rec.strike

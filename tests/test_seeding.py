@@ -11,6 +11,7 @@ from entangle_coord.seeding import (
     SplitMix64,
     derive_seed,
     shuffle,
+    skip_randrange,
     stream_draws,
     uniforms,
 )
@@ -109,6 +110,40 @@ def test_stream_kernels_read_the_sequential_stream_draw_by_draw(args):
         assert np.array_equal(np.asarray(arg), copy) and np.asarray(arg).dtype == copy.dtype
 
 
+class _CountingStream(SplitMix64):
+    """SplitMix64 that counts the draws it reads."""
+
+    __slots__ = ("draws",)
+
+    def next_uint64(self):
+        self.draws += 1
+        return super().next_uint64()
+
+
+# n = 2**j accepts every draw; n = 2**j + 1 rejects nearly half of them
+_RANGE_SIZES = [2**j for j in range(1, 21)] + [2**j + 1 for j in range(1, 20)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lanes=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 40) | st.integers(0, 2**63)),
+                   min_size=1, max_size=6),
+    n=st.sampled_from(_RANGE_SIZES) | st.integers(2, 2**20),
+)
+def test_skip_randrange_advances_each_lane_past_its_draws(lanes, n):
+    seeds = np.array([seed for seed, _ in lanes], np.uint64)
+    counters = np.array([start for _, start in lanes], np.uint64)
+    skip_randrange(seeds, counters, n)
+    used = []
+    for seed, start in lanes:
+        rng = _CountingStream((seed + start * GAMMA) % 2**64)
+        rng.draws = 0
+        rng.randrange(n)
+        used.append(rng.draws)
+    assert counters.tolist() == [start + draws for (_, start), draws in zip(lanes, used)]
+    assert seeds.tolist() == [seed for seed, _ in lanes]
+
+
 def sequential_shuffle(seed, n):
     """Fisher-Yates over SplitMix64, one draw at a time: (perm, draws)."""
     rng = SplitMix64(seed)
@@ -131,7 +166,7 @@ _SHUFFLE_SIZES = [0, 1, 2, 3, *(2**k for k in range(2, 12)), *(2**k + 1 for k in
 @pytest.mark.parametrize("seed", [0, 1, 7919, 2**63, 2**64 - 1])
 def test_shuffle_equals_a_sequential_fisher_yates(seed):
     for n in _SHUFFLE_SIZES:
-        assert shuffle(seed, n) == sequential_shuffle(seed, n)
+        assert shuffle(seed, n) == sequential_shuffle(seed, n)[0]
 
 
 def test_shuffle_reads_past_its_first_block_of_draws():
@@ -139,7 +174,7 @@ def test_shuffle_reads_past_its_first_block_of_draws():
     seeds = [s for s in range(300) if sequential_shuffle(s, 3)[1] > 4]
     assert seeds
     for seed in seeds:
-        assert shuffle(seed, 3) == sequential_shuffle(seed, 3)
+        assert shuffle(seed, 3) == sequential_shuffle(seed, 3)[0]
 
 
 def test_shuffle_rejects_seeds_outside_64_bits():
