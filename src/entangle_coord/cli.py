@@ -35,9 +35,12 @@ from .seeding import check_seed, derive_seed
 
 
 def validate_envelope(envelope: dict) -> None:
-    """Raise if the envelope does not conform to the shipped schema.
+    """Raise jsonschema.ValidationError unless the envelope fits the shipped schema.
 
-    The test suite checks the schema itself against its metaschema, once.
+    Each attack transcript is then parsed whole by BitRows.from_strings: one
+    string per trial, of n_bits characters 0 and 1 (jsonschema took seconds
+    to check 10^5 items one by one).  The test suite checks the schema itself
+    against its metaschema, once.
     """
     from importlib import resources  # imported here: it loads tempfile and shutil
 
@@ -45,6 +48,18 @@ def validate_envelope(envelope: dict) -> None:
 
     schema = resources.files("entangle_coord").joinpath("schema/report_envelope_v1.json")
     jsonschema.Draft202012Validator(json.loads(schema.read_text("utf-8"))).validate(envelope)
+    if envelope["command"] != "attack":
+        return
+    report = envelope["results"]
+    for key in ("eve_bits", "wolf_bits", "alice_bits", "bob_bits"):
+        if key not in report:
+            continue  # the schema requires exactly one of eve_bits and wolf_bits
+        try:
+            if len(report[key]) != report["trials"]:
+                raise ValueError("there must be one bit string per trial")
+            BitRows.from_strings(report[key], report["n_bits"])
+        except (TypeError, ValueError) as exc:  # TypeError: an item that is not a string
+            raise jsonschema.ValidationError(f"results.{key}: {exc}") from None
 
 
 def _resolve_seed(flag_value: int | None) -> int:

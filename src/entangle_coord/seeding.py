@@ -23,7 +23,9 @@ TypeError rather than truncated; no two distinct inputs alias one stream.
 Draw j of a stream is addressed by (seed, j) alone, so the numpy kernels
 here (raw draws, uniforms, the draw counts of rejection-sampled integers
 and the Fisher-Yates shuffle) compute whole blocks or lanes of draws at
-once and equal what :class:`SplitMix64` reads one at a time.
+once and equal what :class:`SplitMix64` reads one at a time.  The shuffle
+computes at most _SHUFFLE_WINDOW (2048) positions at a time, so its draws
+take a fixed amount of memory however long the permutation is.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ _UNIT = 1.1102230246251565e-16  # 2**-53: a draw's top 53 bits times this is uni
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_SHUFFLE_WINDOW = 2048  # stream positions shuffle computes at once
 
 
 def check_seed(value, name: str) -> int:
@@ -124,8 +127,10 @@ def shuffle(seed: int, n: int) -> list[int]:
 
     Step i (from n - 1 down to 1) swaps position i with j = randrange(i + 1):
     the top i.bit_length() bits of the next draw, rejected until j <= i.  The
-    draws are computed in blocks from their stream positions; only the
-    rejection scan runs one draw at a time.
+    draws are computed from their stream positions in blocks of at most
+    _SHUFFLE_WINDOW, read in stream order, so besides the permutation it
+    holds one block of draws at a time whatever n is; only the rejection
+    scan runs one draw at a time.
     """
     seed = check_seed(seed, "seed")
     perm = list(range(n))
@@ -136,8 +141,9 @@ def shuffle(seed: int, n: int) -> list[int]:
     low = 1 << (i.bit_length() - 1)  # the smallest i of this width
     used = 0
     while i:
-        # the i steps left use about 1.39 i draws, so a block rarely runs out
-        block = np.arange(used, used + 2 * i, dtype=np.uint64)
+        # the i steps left use about 1.39 i draws, so 2 i rarely run out; the
+        # window bounds the draws held at once
+        block = np.arange(used, used + min(2 * i, _SHUFFLE_WINDOW), dtype=np.uint64)
         for draw in stream_draws(seed, block).tolist():
             used += 1
             j = draw >> shift

@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
+import operator
 import os
 import pathlib
 import re
@@ -551,22 +553,71 @@ def test_schema_rejects_a_renamed_result_key(capsys):
         cli.validate_envelope(json.loads(out.replace("search_size", "x")))
 
 
+@pytest.mark.parametrize("path", [p for p in _GOLDEN_JSON if p.stem.startswith("attack")],
+                         ids=lambda path: path.stem)
+def test_attack_transcripts_are_checked_as_whole_arrays(path):
+    envelope = json.loads(path.read_text("utf-8"))
+    cli.validate_envelope(envelope)
+    report = envelope["results"]
+    for key in ("eve_bits", "wolf_bits", "alice_bits", "bob_bits"):
+        if key not in report:
+            continue
+        rows = report[key]
+        for bad in (
+            [int(rows[0], 2), *rows[1:]],  # a number
+            [*rows[:-1], True],
+            [*rows[:-1], rows[-1][:-1] + "2"],  # a character other than 0 and 1
+            [*rows[:-1], rows[-1][:-1] + "é"],
+            [rows[0] + "0", *rows[1:]],  # a wrong length
+            [*rows[:-1], rows[-1][:-1]],
+            rows[:-1],  # a wrong count
+            [*rows, rows[0]],
+        ):
+            report[key] = bad
+            with pytest.raises(jsonschema.ValidationError, match=key):
+                cli.validate_envelope(envelope)
+        report[key] = rows
+
+
+# maps keyed by data, whose entries may be dropped but whose keys must match a pattern
+_DATA_KEYED = ("action_number_histogram", "pairwise_agree")
+
+
+def _keys(node, path=()):
+    """(path, key) for every key at any depth.
+
+    The schema holds every item of a list, and every entry of a data-keyed
+    map, to one subschema, so only the first and last of each are visited.
+    """
+    if isinstance(node, list):
+        for index in sorted({0, len(node) - 1}) if node else ():
+            yield from _keys(node[index], (*path, index))
+    elif isinstance(node, dict):
+        keys = list(node)
+        if path and path[-1] in _DATA_KEYED:
+            keys = keys[:1] + keys[1:][-1:]
+        for key in keys:
+            yield path, key
+            yield from _keys(node[key], (*path, key))
+
+
 @pytest.mark.parametrize("path", _GOLDEN_JSON, ids=lambda path: path.stem)
 def test_dropping_any_parameter_or_result_key_fails_validation(path):
+    # or any other key at any depth, or renaming it with a character before or after
     text = path.read_text("utf-8")
     cli.validate_envelope(json.loads(text))
-    for part in ("parameters", "results"):
-        # bound's results are a list of rows; every other part is one object
-        value = json.loads(text)[part]
-        for row in range(len(value)) if isinstance(value, list) else [None]:
-            for key in value if row is None else value[row]:
-                if (part, key) == ("parameters", "grid"):
-                    continue  # `bound --eps` envelopes have no grid either
-                envelope = json.loads(text)
-                target = envelope[part] if row is None else envelope[part][row]
-                del target[key]
-                with pytest.raises(jsonschema.ValidationError):
-                    cli.validate_envelope(envelope)
+    for parents, key in _keys(json.loads(text)):
+        # `bound --eps` envelopes have no grid, and a data-keyed map any entries
+        may_drop = ((parents, key) == (("parameters",), "grid")
+                    or bool(parents) and parents[-1] in _DATA_KEYED)
+        for renamed in ([] if may_drop else [None]) + [f"x{key}", f"{key}x"]:
+            envelope = json.loads(text)
+            target = functools.reduce(operator.getitem, parents, envelope)
+            value = target.pop(key)
+            if renamed is not None:
+                target[renamed] = value
+            with pytest.raises(jsonschema.ValidationError):
+                cli.validate_envelope(envelope)
 
 
 def _properties(*path):

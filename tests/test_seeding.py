@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from entangle_coord.seeding import (
     GAMMA,
     SplitMix64,
+    _SHUFFLE_WINDOW,
     derive_seed,
     shuffle,
     skip_randrange,
@@ -159,8 +161,10 @@ def sequential_shuffle(seed, n):
     return perm, draws
 
 
+# shuffle computes its draws one window of stream positions at a time
+_W = _SHUFFLE_WINDOW
 _SHUFFLE_SIZES = [0, 1, 2, 3, *(2**k for k in range(2, 12)), *(2**k + 1 for k in range(2, 12)),
-                  4096]
+                  4096, _W - 1, _W, _W + 1, 2 * _W + 1, 3 * _W + 5]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7919, 2**63, 2**64 - 1])
@@ -170,11 +174,25 @@ def test_shuffle_equals_a_sequential_fisher_yates(seed):
 
 
 def test_shuffle_reads_past_its_first_block_of_draws():
-    # shuffle fetches 2 (n - 1) draws at first; these seeds need more for n = 3
+    # shuffle fetches min(2 (n - 1), _SHUFFLE_WINDOW) draws at first; these
+    # seeds need more than the 4 it fetches for n = 3
     seeds = [s for s in range(300) if sequential_shuffle(s, 3)[1] > 4]
     assert seeds
     for seed in seeds:
         assert shuffle(seed, 3) == sequential_shuffle(seed, 3)[0]
+
+
+def test_shuffle_holds_one_window_of_draws_besides_the_permutation():
+    # the permutation list and its ints take about 40 bytes per element, and
+    # one window of draws fits in the 256 KiB beside them
+    n = 65536
+    tracemalloc.start()
+    try:
+        shuffle(3, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * n + 256 * 1024
 
 
 def test_shuffle_rejects_seeds_outside_64_bits():
