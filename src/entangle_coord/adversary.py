@@ -90,13 +90,16 @@ class AttackReport:
         for name in (attacker, "alice_bits", "bob_bits"):
             series = getattr(self, name)
             if not isinstance(series, BitRows):
-                series = BitRows.from_strings(series, self.n_bits)
+                try:
+                    series = BitRows.from_strings(series, self.n_bits)
+                except (TypeError, ValueError) as exc:  # TypeError: an item that is not a string
+                    raise type(exc)(f"{name}: {exc}") from None
                 object.__setattr__(self, name, series)
             rows, n_bits = series.bits.shape
             if rows != self.trials:
-                raise ValueError("per-trial series must have one entry per trial")
+                raise ValueError(f"{name}: per-trial series must have one entry per trial")
             if n_bits != self.n_bits:
-                raise ValueError("bit strings must have length n_bits")
+                raise ValueError(f"{name}: bit strings must have length n_bits")
 
     def to_dict(self) -> dict:
         # the report's own BitRows: cli.render writes them as JSON arrays

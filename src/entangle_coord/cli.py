@@ -37,10 +37,11 @@ from .seeding import check_seed, derive_seed
 def validate_envelope(envelope: dict) -> None:
     """Raise jsonschema.ValidationError unless the envelope fits the shipped schema.
 
-    Each attack transcript is then parsed whole by BitRows.from_strings: one
-    string per trial, of n_bits characters 0 and 1 (jsonschema took seconds
-    to check 10^5 items one by one).  The test suite checks the schema itself
-    against its metaschema, once.
+    An attack envelope's results are then built into an AttackReport, which
+    parses each transcript whole with BitRows.from_strings: one string per
+    trial, of n_bits characters 0 and 1 (jsonschema took seconds to check
+    10^5 items one by one).  The test suite checks the schema itself against
+    its metaschema, once.
     """
     from importlib import resources  # imported here: it loads tempfile and shutil
 
@@ -48,18 +49,13 @@ def validate_envelope(envelope: dict) -> None:
 
     schema = resources.files("entangle_coord").joinpath("schema/report_envelope_v1.json")
     jsonschema.Draft202012Validator(json.loads(schema.read_text("utf-8"))).validate(envelope)
-    if envelope["command"] != "attack":
-        return
-    report = envelope["results"]
-    for key in ("eve_bits", "wolf_bits", "alice_bits", "bob_bits"):
-        if key not in report:
-            continue  # the schema requires exactly one of eve_bits and wolf_bits
+    if envelope["command"] == "attack":
+        from .adversary import AttackReport
+
         try:
-            if len(report[key]) != report["trials"]:
-                raise ValueError("there must be one bit string per trial")
-            BitRows.from_strings(report[key], report["n_bits"])
-        except (TypeError, ValueError) as exc:  # TypeError: an item that is not a string
-            raise jsonschema.ValidationError(f"results.{key}: {exc}") from None
+            AttackReport(**envelope["results"])
+        except (TypeError, ValueError) as exc:
+            raise jsonschema.ValidationError(f"results: {exc}") from None
 
 
 def _resolve_seed(flag_value: int | None) -> int:

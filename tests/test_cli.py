@@ -586,12 +586,12 @@ _DATA_KEYED = ("action_number_histogram", "pairwise_agree")
 def _keys(node, path=()):
     """(path, key) for every key at any depth.
 
-    The schema holds every item of a list, and every entry of a data-keyed
-    map, to one subschema, so only the first and last of each are visited.
+    Every item of a list is visited.  A data-keyed map holds every entry to
+    one pattern and subschema, so only its first and last entries are.
     """
     if isinstance(node, list):
-        for index in sorted({0, len(node) - 1}) if node else ():
-            yield from _keys(node[index], (*path, index))
+        for index, item in enumerate(node):
+            yield from _keys(item, (*path, index))
     elif isinstance(node, dict):
         keys = list(node)
         if path and path[-1] in _DATA_KEYED:
