@@ -2,8 +2,9 @@
 
 Each test measures its own wall-clock budget with time.perf_counter around
 the work under test (imports and fixture plumbing excluded).  Expected
-numbers are either re-derived independently inside this file or asserted
-exactly where the underlying draw is deterministic.
+numbers are either re-derived independently by the oracles in
+sequential_reference.py or asserted exactly where the underlying draw is
+deterministic.
 """
 
 import json
@@ -32,19 +33,7 @@ from entangle_coord.protocol import NoiseModel, iter_runs, run_protocol
 from entangle_coord.qsim import apply_y_rotation, measure_qubit, prepare_bell, prepare_ghz
 from entangle_coord.seeding import SplitMix64, derive_seed
 
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("ENTANGLE_COORD_SEED", raising=False)
-
-
-def _independent_max_len(eps: float) -> int:
-    # deliberately different derivation: natural logs and a counting loop
-    h = -(eps * math.log(eps) + (1.0 - eps) * math.log(1.0 - eps)) / math.log(2.0)
-    n = 1
-    while n * h < 1.0:
-        n += 1
-    return n - 1
+import sequential_reference as ref
 
 
 def _cli_json(argv, capsys):
@@ -64,7 +53,7 @@ def test_criterion_01_bound_at_1e_minus_4_is_678(capsys):
     elapsed = time.perf_counter() - start
     assert elapsed < 1e-3, f"bound evaluation took {elapsed * 1e3:.3f} ms"
     assert row.max_error_free_length == 678
-    assert row.max_error_free_length == _independent_max_len(1e-4)
+    assert row.max_error_free_length == ref.independent_max_len(1e-4)
     assert row.max_error_free_length < 700
     payload = _cli_json(["bound", "--eps", "0.0001"], capsys)
     assert payload["results"][0]["max_error_free_length"] == 678
@@ -77,7 +66,7 @@ def test_criterion_02_bound_at_0_01_is_12(capsys):
     elapsed = time.perf_counter() - start
     assert elapsed < 1e-3, f"bound evaluation took {elapsed * 1e3:.3f} ms"
     assert row.max_error_free_length == 12
-    assert row.max_error_free_length == _independent_max_len(0.01)
+    assert row.max_error_free_length == ref.independent_max_len(0.01)
     assert row.max_error_free_length < 13
     payload = _cli_json(["bound", "--eps", "0.01"], capsys)
     assert payload["results"][0]["max_error_free_length"] == 12
@@ -187,41 +176,14 @@ def test_criterion_08_nicd_ceiling_met_by_matching_dictators():
 # ----------------------------------------------------------------- criterion 9
 
 
-def _oracle_score(m, f_table, g_table, eps):
-    # independent direct summation over substring values and flip patterns
-    cell = 1.0 / (1 << m)
-    atoms = []
-    for a in range(1 << m):
-        fa = (f_table >> a) & 1
-        for flips in range(1 << m):
-            b = a ^ flips
-            d = bin(flips).count("1")
-            weight = eps**d * (1.0 - eps) ** (m - d) * cell
-            atoms.append(weight if fa == (g_table >> b) & 1 else -weight)
-    return math.fsum(atoms)
-
-
-def _oracle_maximum(m, eps):
-    size = 1 << m
-    best = -2.0
-    for f_table in range(1 << size):
-        if bin(f_table).count("1") != size // 2:
-            continue
-        for g_table in range(1 << size):
-            if bin(g_table).count("1") != size // 2:
-                continue
-            best = max(best, _oracle_score(m, f_table, g_table, eps))
-    return best
-
-
 def test_criterion_09_nicd_matches_direct_summation_oracle():
     start = time.perf_counter()
     for m in (1, 2):
         for eps in (0.0, 0.05, 0.1, 0.3, 0.5):
             result = nicd_max_correlation(m, eps)
-            oracle = _oracle_maximum(m, eps)
+            oracle = ref.nicd_best_pair_score(m, eps)
             assert result.max_correlation == oracle  # exact, not approximate
-            achieved = _oracle_score(
+            achieved = ref.nicd_pair_score(
                 m, result.achiever["f_table"], result.achiever["g_table"], eps)
             assert achieved == oracle
     elapsed = time.perf_counter() - start

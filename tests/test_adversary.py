@@ -4,7 +4,6 @@ import io
 import json
 import math
 import statistics
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,40 +29,7 @@ from entangle_coord.adversary import (
 from entangle_coord.protocol import BATCH_SLOTS, bit_strings, row_text
 from entangle_coord.seeding import GAMMA, SplitMix64, derive_seed
 
-
-class FixedRng:
-    """Forces a measurement branch: 0.0 picks bit 0, near-1.0 picks bit 1."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
-def _forced(state, qubit, bit):
-    out = qsim.measure_qubit(state, qubit, FixedRng(0.0 if bit == 0 else 0.999999))
-    assert out.bit == bit
-    return out.post_state
-
-
-def analytic_joint(state, order):
-    """Outcome distribution from chained measurement_probabilities calls."""
-    result = {}
-
-    def walk(st, prefix, prob, remaining):
-        if not remaining:
-            result[prefix] = prob
-            return
-        q = remaining[0]
-        p0, p1 = qsim.measurement_probabilities(st, q)
-        if p0 > 1e-12:
-            walk(_forced(st, q, 0), prefix + "0", prob * p0, remaining[1:])
-        if p1 > 1e-12:
-            walk(_forced(st, q, 1), prefix + "1", prob * p1, remaining[1:])
-
-    walk(state, "", 1.0, tuple(order))
-    return result
+from sequential_reference import analytic_joint, counts_from_strings, scalar_three_holder_attack
 
 
 # ------------------------------------------------------------------- GHZ
@@ -384,39 +350,6 @@ def _xor_bits(bits, bit):
     return bits if bit == 0 else bits.translate(str.maketrans("01", "10"))
 
 
-def counts_from_strings(report):
-    """A report's count-based fields recomputed from its bit strings.
-
-    The reference for the counts the attacks take from their bit array:
-    the same float formulas over counts made on the transcripts.
-    """
-    attacker = report.eve_bits if report.eve_bits is not None else report.wolf_bits
-    alice, bob = report.alice_bits, report.bob_bits
-    slots = report.n_bits * report.trials
-    fields = {
-        "eavesdrop_success_rate": sum(x == a for x, a in zip(attacker, alice)) / report.trials,
-        "agreement_rate": sum(a == b for a, b in zip(alice, bob)) / report.trials,
-    }
-    x, a, b = ("".join(series) for series in (attacker, alice, bob))
-    if report.kind == W_ATTACK:
-        joint = Counter(map("".join, zip(x, a, b)))
-        eve_zero = x.count("0")
-        eve_one = slots - eve_zero
-        fields["eve_zero_rate"] = eve_zero / slots
-        fields["both_one_given_eve_zero"] = joint["011"] / eve_zero if eve_zero else 0.0
-        fields["disagree_given_eve_one"] = (
-            (joint["101"] + joint["110"]) / eve_one if eve_one else 0.0)
-    elif report.kind == BISEPARABLE_ATTACK:
-        joint = Counter(map("".join, zip(a, b)))
-        fields["eve_one_rate"] = x.count("1") / slots
-        fields["alice_bob_joint"] = {k: joint[k] / slots for k in ("00", "01", "10", "11")}
-    elif report.kind == WOLF_CNOT_ATTACK:
-        matches = sum(w == y for w, y in zip(x, a))
-        fields["wolf_matches_alice_rate"] = matches / slots
-        fields["wolf_complements_alice_rate"] = (slots - matches) / slots
-    return fields
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(["ghz", "w", "biseparable", "wolf"]),
@@ -466,25 +399,6 @@ def test_attack_exact_invariants_hold_for_every_input(
 
 
 # ----------------------------------------- batched attacks vs slot by slot
-
-
-def scalar_three_holder_attack(state, order, n_bits, trials, seed):
-    """The slot-by-slot reference: a fresh copy of `state` per slot.
-
-    Trial t reads SplitMix64(derive_seed(seed, t)) one draw at a time through
-    qsim.measure_qubit.  Returns qubit 0, 1 and 2's strings.
-    """
-    flat = (bytearray(), bytearray(), bytearray())  # each qubit's bits, slot after slot
-    for trial in range(trials):
-        rng = SplitMix64(derive_seed(seed, trial))
-        for _ in range(n_bits):
-            current = state
-            for qubit in order:
-                bit, _, current = qsim.measure_qubit(current, qubit, rng)
-                flat[qubit].append(ord("0") + bit)
-    texts = [bits.decode("ascii") for bits in flat]
-    return tuple(
-        tuple(text[i : i + n_bits] for i in range(0, len(text), n_bits)) for text in texts)
 
 
 _MIX1 = 0xBF58476D1CE4E5B9

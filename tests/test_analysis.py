@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 
@@ -13,10 +12,6 @@ from entangle_coord.analysis import (
     BoundRow,
     NicdResult,
     ReconcileReport,
-    _describe_dictator,
-    _dictator_table,
-    _distance_table,
-    _noise_weights,
     binary_entropy,
     bound_table,
     nicd_max_correlation,
@@ -26,7 +21,7 @@ from entangle_coord.analysis import (
 from entangle_coord.protocol import NoiseModel, run_protocol
 from entangle_coord.seeding import derive_seed
 
-from sequential_reference import scalar_reconcile
+from sequential_reference import loop_nicd_m4, loop_nicd_small, scalar_reconcile
 
 
 # ------------------------------------------------------------------ entropy
@@ -125,143 +120,10 @@ def test_bound_row_validates_consistency():
 # --------------------------------------------------------------------- NICD
 
 
-def _oracle_pair_score(m, f_table, g_table, eps):
-    # independent re-derivation: enumerate substring and flip-pattern pairs,
-    # accumulate signed joint probabilities with exact summation
-    cell = 1.0 / (1 << m)
-    atoms = []
-    for a in range(1 << m):
-        fa = (f_table >> a) & 1
-        for flips in range(1 << m):
-            b = a ^ flips
-            d = bin(flips).count("1")
-            w = eps**d * (1.0 - eps) ** (m - d) * cell
-            gb = (g_table >> b) & 1
-            atoms.append(w if fa == gb else -w)
-    return math.fsum(atoms)
-
-
-def _oracle_best(m, eps):
-    size = 1 << m
-    best = -2.0
-    pair = None
-    for ft in range(1 << size):
-        if bin(ft).count("1") != size // 2:
-            continue
-        for gt in range(1 << size):
-            if bin(gt).count("1") != size // 2:
-                continue
-            score = _oracle_pair_score(m, ft, gt, eps)
-            if score > best:
-                best, pair = score, (ft, gt)
-    return best, pair
-
-
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.3, 0.5])
-def test_nicd_matches_direct_summation_oracle(m, eps):
-    result = nicd_max_correlation(m, eps)
-    oracle_max, _ = _oracle_best(m, eps)
-    assert result.max_correlation == oracle_max  # bit-for-bit
-    ach = result.achiever
-    assert _oracle_pair_score(m, ach["f_table"], ach["g_table"], eps) == oracle_max
-
-
-def loop_nicd_m4(eps):
-    """The m = 4 best-response search one element at a time: the reference.
-
-    Same weights, the same `signs @ u` product for the search maximum and
-    the achiever, and the same dictator preference as nicd_max_correlation;
-    the reported value is the tying dictator pair's exact correlation, one
-    fsum over every cell, so every float must match it exactly on any BLAS
-    kernel.
-    """
-    m, size, half = 4, 16, 8
-    weights = _noise_weights(m, eps)
-    dist = _distance_table(m)
-    u = np.empty((size, size))
-    for a in range(size):
-        for b in range(size):
-            u[a, b] = weights[dist[a][b]]
-    tables = [t for t in range(1 << size) if t.bit_count() == half]
-    signs = np.empty((len(tables), size))
-    for row, t in enumerate(tables):
-        for a in range(size):
-            signs[row, a] = -1.0 if (t >> a) & 1 else 1.0
-    w = signs @ u
-    scores = np.abs(w).sum(axis=1)
-    best_row = int(np.argmax(scores))
-    best = float(scores[best_row])
-    g_table = 0
-    for b in range(size):
-        if w[best_row, b] < 0.0:
-            g_table |= 1 << b
-    achiever = {"f_table": tables[best_row], "g_table": g_table,
-                "description": "exhaustive search maximum (no dictator tie)"}
-    for position in range(m):
-        table = _dictator_table(m, position)
-        value = _pair_correlation(m, table, table, weights, dist)
-        if abs(value - best) <= 1e-12:
-            best = value
-            achiever = {"f_table": table, "g_table": table,
-                        "description": _describe_dictator(position)}
-            break
-    return {"m": m, "eps": eps, "max_agreement": (1.0 + best) / 2.0,
-            "max_correlation": best, "achiever": achiever, "search_size": 1 << size}
-
-
 @settings(max_examples=25, deadline=None)
 @given(eps=st.floats(0.0, 0.5) | st.sampled_from([0.0, 0.5, 5e-324, 0.1]))
 def test_nicd_m4_matches_the_loop_reference(eps):
     assert nicd_max_correlation(4, eps).to_dict() == loop_nicd_m4(eps)
-
-
-def _pair_correlation(m, f_table, g_table, weights, dist):
-    # exact expectation of (-1)^(f(a) xor g(b)) via one fsum over all cells
-    size = 1 << m
-    atoms = []
-    for a in range(size):
-        fa = (f_table >> a) & 1
-        row = dist[a]
-        for b in range(size):
-            w = weights[row[b]]
-            atoms.append(w if fa == (g_table >> b) & 1 else -w)
-    return math.fsum(atoms)
-
-
-def loop_nicd_small(m, eps):
-    """The m <= 3 search one function pair at a time: the reference.
-
-    Every balanced pair is scored by one exact fsum, and the first matching
-    dictator pair that ties the maximum is reported, so every float of
-    nicd_max_correlation must match it exactly.
-    """
-    size = 1 << m
-    weights = _noise_weights(m, eps)
-    dist = _distance_table(m)
-    n_tables = 1 << size
-    balanced = [t for t in range(n_tables) if t.bit_count() == size // 2]
-    best = -2.0
-    best_pair = (balanced[0], balanced[0])
-    for f_table in balanced:
-        for g_table in balanced:
-            corr = _pair_correlation(m, f_table, g_table, weights, dist)
-            if corr > best:
-                best = corr
-                best_pair = (f_table, g_table)
-    achiever = {"f_table": best_pair[0], "g_table": best_pair[1],
-                "description": "exhaustive search maximum (no dictator tie)"}
-    for position in range(m):
-        table = _dictator_table(m, position)
-        corr = _pair_correlation(m, table, table, weights, dist)
-        if abs(corr - best) <= 1e-12:
-            best = corr
-            achiever = {"f_table": table, "g_table": table,
-                        "description": _describe_dictator(position)}
-            break
-    return {"m": m, "eps": eps, "max_agreement": (1.0 + best) / 2.0,
-            "max_correlation": best, "achiever": achiever,
-            "search_size": n_tables * n_tables}
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,18 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_coord import __version__, analysis, cli, protocol
+from entangle_coord import analysis, cli, protocol
 from entangle_coord.adversary import AttackReport, BitRows
-from entangle_coord.protocol import NoiseModel
 from entangle_coord.qsim import QUBIT_CAP
-from entangle_coord.seeding import derive_seed
 
 import sequential_reference as ref
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("ENTANGLE_COORD_SEED", raising=False)
 
 
 def invoke(argv, capsys):
@@ -719,31 +712,6 @@ def _reconcile_cases(draw):
     return bits, eps, trials, draw(st.integers(0, 2**64 - 1))
 
 
-def _reference_reconcile(bits, eps, trials, master):
-    # reconcile's envelope from the sequential engines, trial by trial
-    successes = disclosed = passes = 0
-    for t in range(trials):
-        seed_t = derive_seed(master, t)
-        rec = ref.run_protocol(bits, NoiseModel(flip_prob=eps), seed_t)
-        report, _, _ = ref.scalar_reconcile(rec.alice_bits, rec.bob_bits, eps,
-                                            derive_seed(seed_t, 1))
-        successes += report.success
-        disclosed += report.disclosed_bits
-        passes += report.passes
-    results = {
-        "trials": trials,
-        "n": bits,
-        "eps": eps,
-        "success_rate": successes / trials,
-        "mean_disclosed_bits": disclosed / trials,
-        "mean_disclosure_rate": disclosed / (trials * bits),
-        "mean_passes": passes / trials,
-    }
-    parameters = {"bits": bits, "eps": eps, "trials": trials, "seed": master}
-    return {"command": "reconcile", "parameters": parameters, "seed": master,
-            "results": results, "version": __version__}
-
-
 def _stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -755,7 +723,7 @@ def _stdout(argv) -> str:
 @given(case=_reconcile_cases())
 def test_reconcile_output_equals_the_sequential_reference(case):
     bits, eps, trials, master = case
-    envelope = _reference_reconcile(bits, eps, trials, master)
+    envelope = ref.reconcile_envelope(bits, eps, trials, master)
     argv = ["reconcile", "--bits", str(bits), "--eps", repr(eps), "--trials", str(trials),
             "--seed", str(master)]
     envelope["parameters"]["format"] = "json"

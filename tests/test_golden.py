@@ -68,11 +68,6 @@ def golden_path(argv) -> Path:
     return GOLDEN_DIR / (re.sub(r"[^A-Za-z0-9.]+", "_", " ".join(argv)) + suffix)
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("ENTANGLE_COORD_SEED", raising=False)
-
-
 def test_case_files_are_distinct():
     assert len({golden_path(argv) for argv in CASES}) == len(CASES)
 

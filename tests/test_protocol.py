@@ -19,6 +19,7 @@ from entangle_coord.protocol import (
     iter_runs,
     run_multiagent,
     run_protocol,
+    trial_batches,
 )
 from entangle_coord.seeding import SplitMix64, derive_seed, stream_draws
 
@@ -430,10 +431,10 @@ def test_multiagent_three_identical_strings():
 
 
 def test_multiagent_common_bit_balance():
-    zeros = sum(
-        rec.bits[0] == "0"
-        for rec in (run_multiagent(4, 1, QUIET, derive_seed(6, t)) for t in range(10_000))
-    )
+    # trial t of master seed 6 is the run of derive_seed(6, t); test_batch
+    # holds run_multiagent to each lane
+    zeros = sum(int(np.count_nonzero(batch.bits[0] == 0))
+                for batch in trial_batches(4, 1, QUIET, 10_000, 6))
     assert abs(zeros / 10_000 - 0.5) < 0.02
 
 

@@ -30,18 +30,10 @@ from entangle_coord.qsim import (
 )
 from entangle_coord.seeding import SplitMix64
 
+from sequential_reference import FixedRng, loop_measure, loop_probabilities, loop_rotation
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
-
-
-class FixedRng:
-    """Stub rng forcing a measurement branch."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
 
 
 def random_state(num_qubits, rng):
@@ -449,70 +441,7 @@ def test_measure_returns_outcome_type():
     assert isinstance(out.post_state, PureState)
 
 
-# ------------------------------------------- the list-loop kernels as oracle
-#
-# Each operation as a Python loop over basis indices.  The numpy kernels
-# must match them bit for bit: p1 summed one term at a time in ascending
-# index order, p0 = 1 - p1 as both the sampling threshold and the bit-0
-# renormalization weight.
-
-
-def _index_split(num_qubits, qubit):
-    # Basis indices with `qubit` clear / set, each ascending, so that the
-    # k-th entries of the two lists differ only in `qubit`.
-    shift = num_qubits - 1 - qubit
-    zeros, ones = [], []
-    for i in range(1 << num_qubits):
-        (ones if (i >> shift) & 1 else zeros).append(i)
-    return zeros, ones
-
-
-def _branch_weight(amps, indices):
-    # Sum of |amp|^2 over `indices`, accumulated in their (ascending) order.
-    weight = 0.0
-    for i in indices:
-        a = amps[i]
-        weight += a.real * a.real + a.imag * a.imag
-    return weight
-
-
-def loop_probabilities(state, qubit):
-    amps = state.amplitudes.tolist()
-    zeros, ones = _index_split(state.num_qubits, qubit)
-    return _branch_weight(amps, zeros), _branch_weight(amps, ones)
-
-
-def loop_rotation(state, qubit, theta):
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    amps = state.amplitudes.tolist()
-    out = [0j] * len(amps)
-    for i0, i1 in zip(*_index_split(state.num_qubits, qubit)):
-        a0 = amps[i0]
-        a1 = amps[i1]
-        out[i0] = c * a0 - s * a1
-        out[i1] = s * a0 + c * a1
-    return np.array(out, dtype=np.complex128)
-
-
-def loop_measure(state, qubit, u):
-    amps = state.amplitudes.tolist()
-    zeros, ones = _index_split(state.num_qubits, qubit)
-    p1 = _branch_weight(amps, ones)
-    p0 = 1.0 - p1
-    if p1 < DEGENERATE_BRANCH:
-        bit = 0
-    elif p0 < DEGENERATE_BRANCH:
-        bit = 1
-    else:
-        bit = 0 if u < p0 else 1
-    prob = p1 if bit else p0
-    # the kept half is renormalized by its own weight, not by 1 - p1
-    scale = 1.0 / math.sqrt(_branch_weight(amps, ones if bit else zeros))
-    out = [0j] * len(amps)
-    for i in ones if bit else zeros:
-        out[i] = amps[i] * scale
-    return bit, prob, np.array(out, dtype=np.complex128)
+# ------------------------------------- the numpy kernels against the loop ones
 
 
 _PINNED_WEIGHTS = [DEGENERATE_BRANCH * f for f in (0.999, 1.0, 1.001)]

@@ -18,6 +18,8 @@ from entangle_coord.seeding import (
     uniforms,
 )
 
+from sequential_reference import fisher_yates
+
 VECTORS = json.loads((Path(__file__).parent / "data" / "seed_vectors.json").read_text())
 
 
@@ -146,21 +148,6 @@ def test_skip_randrange_advances_each_lane_past_its_draws(lanes, n):
     assert seeds.tolist() == [seed for seed, _ in lanes]
 
 
-def sequential_shuffle(seed, n):
-    """Fisher-Yates over SplitMix64, one draw at a time: (perm, draws)."""
-    rng = SplitMix64(seed)
-    perm = list(range(n))
-    draws = 0
-    for i in range(n - 1, 0, -1):
-        while True:
-            draws += 1
-            j = rng.next_uint64() >> (64 - i.bit_length())
-            if j <= i:
-                break
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm, draws
-
-
 # shuffle computes its draws one window of stream positions at a time
 _W = _SHUFFLE_WINDOW
 _SHUFFLE_SIZES = [0, 1, 2, 3, *(2**k for k in range(2, 12)), *(2**k + 1 for k in range(2, 12)),
@@ -170,16 +157,21 @@ _SHUFFLE_SIZES = [0, 1, 2, 3, *(2**k for k in range(2, 12)), *(2**k + 1 for k in
 @pytest.mark.parametrize("seed", [0, 1, 7919, 2**63, 2**64 - 1])
 def test_shuffle_equals_a_sequential_fisher_yates(seed):
     for n in _SHUFFLE_SIZES:
-        assert shuffle(seed, n) == sequential_shuffle(seed, n)[0]
+        assert shuffle(seed, n) == fisher_yates(n, SplitMix64(seed))
 
 
 def test_shuffle_reads_past_its_first_block_of_draws():
     # shuffle fetches min(2 (n - 1), _SHUFFLE_WINDOW) draws at first; these
     # seeds need more than the 4 it fetches for n = 3
-    seeds = [s for s in range(300) if sequential_shuffle(s, 3)[1] > 4]
+    seeds = 0
+    for seed in range(300):
+        rng = _CountingStream(seed)
+        rng.draws = 0
+        expected = fisher_yates(3, rng)
+        if rng.draws > 4:
+            seeds += 1
+            assert shuffle(seed, 3) == expected
     assert seeds
-    for seed in seeds:
-        assert shuffle(seed, 3) == sequential_shuffle(seed, 3)[0]
 
 
 def test_shuffle_holds_one_window_of_draws_besides_the_permutation():
