@@ -8,7 +8,9 @@ Three tool families:
   distillation achievable by local Boolean post-processing of m-bit noisy
   substrings, certifying the 1 - 2*eps ceiling;
 * a block-parity reconciliation simulator that measures how many parity bits
-  actually leak while two noisy strings are being equalized.
+  actually leak while two noisy strings are being equalized: `reconcile` on
+  one pair of strings, and `reconcile_trials` (behind the `reconcile`
+  command) on the bit arrays of the protocol's trials, chunk by chunk.
 
 NICD eligibility: distilled output bits must be fair, i.e. both parties'
 functions are balanced (equal preimage sizes).  Unbalanced functions can buy
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .protocol import BitRows, row_text
+from .protocol import BitRows, NoiseModel, row_text, trial_batches
 from .seeding import derive_seed, shuffle
 
 #: reconciliation refuses to loop beyond this many passes
@@ -283,12 +285,44 @@ def reconcile(
 
     The permutation of pass p >= 2 is seeding.shuffle(derive_seed(seed, p),
     n): it reads positions 0, 1, ... of that stream.  Every parity is taken
-    of the difference vector a ^ b, the only thing the passes depend on.
+    of the difference vector a ^ b, the only thing the passes depend on;
+    reconcile_trials runs the same passes on each trial's difference row.
     """
     a, b = BitRows.from_strings((alice, bob), len(alice)).bits
     check_eps_hint(eps_hint)
-    n = len(alice)
     d = a ^ b
+    report = _reconcile_row(d, eps_hint, seed)
+    return report, alice, row_text(a ^ d)
+
+
+def reconcile_trials(n_bits: int, eps: float, trials: int, master_seed: int) -> dict:
+    """The results `reconcile` prints, its keys in order, one chunk of trials at a time.
+
+    Trial t of trial_batches(2, ...) with flip probability eps, trial seed s,
+    has its difference row reconciled under derive_seed(s, 1), eps the hint
+    (checked before any trial runs).  Only the reports' sums are kept.
+    """
+    noise = NoiseModel(flip_prob=eps)
+    check_eps_hint(eps)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    successes = disclosed = passes = 0
+    for batch in trial_batches(2, n_bits, noise, trials, master_seed):
+        alice, bob = batch.bits
+        for seed_t, d in zip(batch.seeds.tolist(), alice ^ bob):
+            report = _reconcile_row(d, eps, derive_seed(seed_t, 1))
+            successes += report.success
+            disclosed += report.disclosed_bits
+            passes += report.passes
+    return {"trials": trials, "n": n_bits, "eps": eps, "success_rate": successes / trials,
+            "mean_disclosed_bits": disclosed / trials,
+            "mean_disclosure_rate": disclosed / (trials * n_bits),
+            "mean_passes": passes / trials}
+
+
+def _reconcile_row(d: np.ndarray, eps_hint: float, seed: int) -> ReconcileReport:
+    # reconcile's passes on the difference row d, left holding the errors
+    n = len(d)
     errors_before = int(np.count_nonzero(d))
     disclosed = 0
 
@@ -323,12 +357,5 @@ def reconcile(
         run_pass(_pass_order(seed, passes, n), min(n, max(2, k1 >> (passes - 2))))
 
     errors_after = int(np.count_nonzero(d))
-    report = ReconcileReport(
-        n=n,
-        errors_before=errors_before,
-        errors_after=errors_after,
-        disclosed_bits=disclosed,
-        passes=passes,
-        success=errors_after == 0,
-    )
-    return report, alice, row_text(a ^ d)
+    return ReconcileReport(n=n, errors_before=errors_before, errors_after=errors_after,
+                           disclosed_bits=disclosed, passes=passes, success=errors_after == 0)

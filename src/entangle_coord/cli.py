@@ -11,9 +11,10 @@ order.  Exit codes: 0 success, 2 argument error, 1 internal invariant
 violation.
 
 The master seed comes from --seed, else from the ENTANGLE_COORD_SEED
-environment variable, else 0.  Per-trial seeds are derived with the package's
-published mixing function, so trial results do not depend on evaluation
-order.
+environment variable, else 0, written as str() writes the integer.  Per-trial
+seeds are derived with the package's published mixing function, so trial
+results do not depend on evaluation order.  The commands parse, delegate to
+the package and print; no engine decision lives here.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 # adversary and analysis are imported inside the commands that call them, so a
 # launch loads (and, without bytecode caches, compiles) only what it runs
-from .protocol import BitRows, NoiseModel, RunSummary, bit_strings, row_text, trial_batches
-from .seeding import check_seed, derive_seed
+from .protocol import BitRows, NoiseModel, RunSummary, row_text
+from .seeding import check_seed
 
 # ----------------------------------------------------------------- plumbing
 
@@ -58,18 +59,23 @@ def validate_envelope(envelope: dict) -> None:
             raise jsonschema.ValidationError(f"results: {exc}") from None
 
 
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is None:
-        raw = os.environ.get("ENTANGLE_COORD_SEED")
-        if raw is None:
-            return 0
-        try:
-            flag_value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"ENTANGLE_COORD_SEED must be an integer, got {raw!r}"
-            ) from None
-    return check_seed(flag_value, "master seed")
+def _plain_int(text: str) -> int | None:
+    # text's integer if str() spells it as text, so that no two spellings
+    # alias one number ("1_000", " 7", "007", "\u0663"), else None
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
+
+
+def _resolve_seed(flag_value: str | None) -> int:
+    # --seed's text, else ENTANGLE_COORD_SEED, else 0
+    source, text = ("--seed", flag_value) if flag_value is not None else (
+        "ENTANGLE_COORD_SEED", os.environ.get("ENTANGLE_COORD_SEED", "0"))
+    if (seed := _plain_int(text)) is None:
+        raise ValueError(f"{source} must be an integer in plain decimal, got {text!r}")
+    return check_seed(seed, "master seed")
 
 
 def _envelope(command: str, parameters: dict, seed: int, results) -> dict:
@@ -159,9 +165,11 @@ def _parse_grid(text: str) -> list[float]:
     if len(pieces) != 3:
         raise ValueError(f"--grid expects LO:HI:STEPS, got {text!r}")
     try:
-        lo, hi, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        lo, hi = float(pieces[0]), float(pieces[1])
     except ValueError:
         raise ValueError(f"--grid expects LO:HI:STEPS numbers, got {text!r}") from None
+    if (steps := _plain_int(pieces[2])) is None:
+        raise ValueError(f"--grid STEPS must be an integer in plain decimal, got {text!r}")
     if steps < 1:
         raise ValueError("--grid STEPS must be at least 1")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -193,31 +201,12 @@ def _cmd_nicd(args: argparse.Namespace) -> dict:
 
 
 def _cmd_reconcile(args: argparse.Namespace) -> dict:
-    from .analysis import check_eps_hint, reconcile
+    from .analysis import reconcile_trials
 
     seed = _resolve_seed(args.seed)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    noise = NoiseModel(flip_prob=args.eps)
-    check_eps_hint(args.eps)  # a bad hint fails before the trials run
-    successes = total_disclosed = total_passes = 0
-    # one protocol run per trial supplies the noisy string pair, one chunk at a time
-    for batch in trial_batches(2, args.bits, noise, args.trials, seed):
-        alice, bob = (bit_strings(agent_bits) for agent_bits in batch.bits)
-        for seed_t, alice_bits, bob_bits in zip(batch.seeds.tolist(), alice, bob):
-            report, _, _ = reconcile(alice_bits, bob_bits, args.eps, derive_seed(seed_t, 1))
-            successes += report.success
-            total_disclosed += report.disclosed_bits
-            total_passes += report.passes
-    results = {
-        "trials": args.trials,
-        "n": args.bits,
-        "eps": args.eps,
-        "success_rate": successes / args.trials,
-        "mean_disclosed_bits": total_disclosed / args.trials,
-        "mean_disclosure_rate": total_disclosed / (args.trials * args.bits),
-        "mean_passes": total_passes / args.trials,
-    }
+    results = reconcile_trials(args.bits, args.eps, args.trials, seed)
     parameters = {
         "bits": args.bits,
         "eps": args.eps,
@@ -336,7 +325,7 @@ def render(envelope: dict, fmt: str, out) -> None:
 
 def _add_common(sub: argparse.ArgumentParser, seeded: bool) -> None:
     if seeded:
-        sub.add_argument("--seed", type=int, default=None,
+        sub.add_argument("--seed", default=None,
                          help="master seed (default: ENTANGLE_COORD_SEED or 0)")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="output format (default json)")
@@ -370,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--trials", type=int, default=1)
     attack.add_argument("--eve-first", action="store_true",
                         help="eve measures before the honest parties (ghz only)")
-    attack.add_argument("--target-bit", type=int, choices=(0, 1), default=None,
+    attack.add_argument("--target-bit", type=int, default=None, metavar="{0,1}",
                         help="ancilla preparation bit (wolf only, default 0)")
     _add_common(attack, seeded=True)
     attack.set_defaults(handler=_cmd_attack)
@@ -403,25 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Every flag whose value is a number or a list of numbers.
-_NUMERIC_FLAGS = frozenset({
-    "--bits", "--trials", "--seed", "--eps", "--theta-a", "--theta-b", "--agents",
-    "--m", "--grid", "--target-bit",
-})
-
-
-def _is_numeric_flag(token: str) -> bool:
-    # the flag itself, or an abbreviation argparse may expand to it
-    return token.startswith("--") and len(token) > 2 and any(
-        flag.startswith(token) for flag in _NUMERIC_FLAGS)
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
     # argparse takes a token such as -1e+20 or -inf for an option, so a value
-    # that starts with a single "-" is attached to its numeric flag instead.
+    # that starts with a single "-" is attached to the long option before it,
+    # unless that option already holds its value ("--eps=0.1").
     out: list[str] = []
     for token in argv:
-        if out and _is_numeric_flag(out[-1]) and token[:1] == "-" and token[1:2] != "-":
+        if (out and out[-1][:2] == "--" and len(out[-1]) > 2 and "=" not in out[-1]
+                and token[:1] == "-" and token[1:2] != "-"):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

@@ -26,7 +26,7 @@ order, and nothing else:
    qubit alice holds), or per slot a Fisher-Yates shuffle of the k qubit
    positions (k > 2, `randrange` with rejection);
 2. one token base per agent, in agent order, read only by a two-party
-   record (`TrialBatch.records`);
+   record (`TrialBatch.records`, agent a's at `_holders(...) + a`);
 3. per agent, in agent order, and per slot, in slot order: a Born draw only
    if neither branch is below qsim.DEGENERATE_BRANCH, then a flip draw if
    the flip probability is positive and the agent is not alice.
@@ -38,11 +38,11 @@ or truncated.
 One engine follows this contract: it computes every draw from its (trial
 seed, position) pair, vectorised over trials and slots, one chunk of trials
 at a time.  `trial_batches` yields the chunks; `iter_runs`, `RunSummary`
-(behind `run`) and `reconcile` each hold one at a time; and `run_protocol`
-and `run_multiagent` are its one-trial views.  The test suite keeps a
-sequential reference that reads the stream one draw at a time and measures
-dense states through the public qsim operators, and checks the engine
-against it bit for bit.
+(behind `run`) and `analysis.reconcile_trials` (behind `reconcile`) each
+hold one at a time; and `run_protocol` and `run_multiagent` are its
+one-trial views.  The test suite keeps a sequential reference that reads
+the stream one draw at a time and measures dense states through the public
+qsim operators, and checks the engine against it bit for bit.
 
 Two branches per slot.  Each qubit is measured once, so a slot's Bell or
 GHZ register only ever has two nonzero amplitudes, u where every unmeasured
@@ -294,14 +294,15 @@ class TrialBatch(NamedTuple):
         Each equals what run_protocol / run_multiagent return for the lane's
         seed, and what the sequential reference in the test suite
         (tests/sequential_reference.py) gives for it.  Agent a's table base
-        (k = 2) is drawn here, as draw n_bits + a of the lane's stream.
+        (k = 2) is drawn here, at _holders + a: the draws _run_chunk skips.
         """
         k, _, n_bits = self.bits.shape
         strikes = _resolve_strikes(strikes, n_bits)
         strings = [bit_strings(agent_bits) for agent_bits in self.bits]
         seeds = self.seeds.tolist()
         if k == 2:
-            actions = [_action_tokens(stream_draws(self.seeds, n_bits + agent), agent_bits)
+            bases = _holders(self.seeds, 2, n_bits)
+            actions = [_action_tokens(stream_draws(self.seeds, bases + agent), agent_bits)
                        for agent, agent_bits in enumerate(self.bits)]
             for row in zip(seeds, *strings, *actions):
                 yield _run_record(*row, strikes)

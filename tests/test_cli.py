@@ -19,7 +19,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entangle_coord import analysis, cli, protocol
@@ -393,6 +393,13 @@ def test_out_of_domain_numbers_exit_2_with_one_error_line(argv):
     (["nicd", "--m", "2", "--eps", "-1e-3"], "eps -0.001 outside [0, 0.5]"),
     (["bound", "--eps", "-1e-3,0.1"], "eps -0.001 outside (0, 0.5]"),
     (["bound", "--grid", "-1e-3:0.1:3"], "--grid requires 0 < LO <= HI"),
+    (["reconcile", "--seed", "-1"], "master seed must be non-negative"),
+    (["run", "--bits", "-1"], "n_bits must be at least 1"),
+    (["reconcile", "--trials", "-1"], "--trials must be at least 1"),
+    (["run", "--agents", "-1"], "need at least 2 agents"),
+    (["nicd", "--eps", "0.1", "--m", "-1"], "substring length m must lie in 1..4"),
+    (["run", "--theta-a", "-inf"], "misalignment angles must be finite"),
+    (["attack", "wolf", "--target-bit", "-1"], "target_bit must be 0 or 1"),
 ])
 def test_negative_exponent_values_given_apart_get_the_domain_error(flags, message, capsys):
     # these used to be read as options: exit 2 with argparse's usage text
@@ -432,6 +439,35 @@ def test_help_and_version_exit_0(capsys):
     assert invoke(["--help"], capsys)[0] == 0
     code, out, _ = invoke(["--version"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_with_a_dash_led_value_exit_2(flag, capsys):
+    # a value that starts with one "-" attaches to the long option before it,
+    # and neither of these takes a value
+    code, out, err = invoke([flag, "-x"], capsys)
+    assert (code, out) == (2, "")
+    assert "ignored explicit argument '-x'" in err
+
+
+# spellings that int() reads but str() does not write: an underscore, a
+# space, a leading zero, a plus sign and ARABIC-INDIC DIGIT THREE
+_SPOILED = ["1_000", " 7", "007", "+7", "\u0663"]
+
+
+@pytest.mark.parametrize("where", ["--seed", "ENTANGLE_COORD_SEED", "--grid"])
+@pytest.mark.parametrize("text", _SPOILED)
+def test_seeds_and_grid_steps_have_one_spelling(where, text, monkeypatch, capsys):
+    if where == "--seed":
+        argv = ["reconcile", "--bits", "16", "--seed", text]
+    elif where == "ENTANGLE_COORD_SEED":
+        monkeypatch.setenv("ENTANGLE_COORD_SEED", text)
+        argv = ["run", "--bits", "2"]
+    else:
+        argv = ["bound", "--grid", f"0.1:0.2:{text}"]
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
 # ------------------------------------------------------ schema + determinism
@@ -721,6 +757,10 @@ def _stdout(argv) -> str:
 
 @settings(max_examples=8, deadline=None)
 @given(case=_reconcile_cases())
+# keygen's shapes in perfbench: 4 lanes per chunk at 2048 bits, 2 at 4096,
+# each with one trial past a chunk edge
+@example(case=(2048, 0.05, 5, 0))
+@example(case=(4096, 0.002, 3, 7919))
 def test_reconcile_output_equals_the_sequential_reference(case):
     bits, eps, trials, master = case
     envelope = ref.reconcile_envelope(bits, eps, trials, master)
