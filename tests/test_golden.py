@@ -54,6 +54,8 @@ CASES = [
     ["nicd", "--m", "3", "--eps", "0.1"],
     ["nicd", "--m", "4", "--eps", "0.1"],
     ["nicd", "--m", "4", "--eps", "0.005"],
+    # the achiever column of the NICD CSV table
+    ["nicd", "--m", "2", "--eps", "0.1", "--format", "csv"],
     # run aggregates summed over several chunks: 8 chunks with a histogram
     # counted per action number (2**3 <= BATCH_SLOTS), and 3 chunks with
     # one merged from each chunk's counts (2**14 > BATCH_SLOTS)
