@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,7 +128,6 @@ def _noise_weights(m: int, eps: float) -> list[float]:
     return [eps**d * (1.0 - eps) ** (m - d) * inv for d in range(m + 1)]
 
 
-@lru_cache(maxsize=8)
 def _distance_table(m: int) -> tuple[tuple[int, ...], ...]:
     size = 1 << m
     return tuple(tuple((a ^ b).bit_count() for b in range(size)) for a in range(size))

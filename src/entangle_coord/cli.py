@@ -3,12 +3,12 @@
 Output contract: a single JSON envelope (or, with --format csv, the primary
 table flattened to CSV) on standard output; diagnostics on standard error
 only.  The JSON text is json.dumps(envelope, indent=2) plus a newline,
-written in blocks as it is built; bit strings held as protocol.BitRows (the
-attack transcripts) are written straight from their bits by
-protocol.row_text.  Identical invocations produce byte-identical output —
-the envelope carries no timestamps and every map is built in a fixed key
-order.  Exit codes: 0 success, 2 argument error, 1 internal invariant
-violation.
+written piece by piece as it is built; bit strings held as
+protocol.BitRows (the attack transcripts) are written straight from their
+bits by protocol.row_text.  Identical invocations produce byte-identical
+output — the envelope carries no timestamps and every map is built in a
+fixed key order.  Exit codes: 0 success, 2 argument error, 1 internal
+invariant violation.
 
 The master seed comes from --seed, else from the ENTANGLE_COORD_SEED
 environment variable, else 0, written as str() writes the integer.  Per-trial
@@ -231,18 +231,13 @@ _CSV_COLUMNS = {
 }
 
 
-def _csv_run(results: dict) -> list[list]:
-    # one row per histogram entry
-    trials = results["trials"]
-    return [[number, count, count / trials]
-            for number, count in results["action_number_histogram"].items()]
-
-
 def _csv_rows(command: str, results) -> list[list]:
-    # The rows under _CSV_COLUMNS[command]: bound's results are a list of
-    # rows, every other command's one row.
+    # The rows under _CSV_COLUMNS[command]: run's are its histogram entries,
+    # bound's results are a list of rows, and every other command's one row.
     if command == "run":
-        return _csv_run(results)
+        trials = results["trials"]
+        return [[number, count, count / trials]
+                for number, count in results["action_number_histogram"].items()]
     if command == "nicd":  # the achiever column is the achiever's description
         results = {**results, "achiever": results["achiever"]["description"]}
     columns = _CSV_COLUMNS[command]
@@ -250,7 +245,7 @@ def _csv_rows(command: str, results) -> list[list]:
             for row in (results if isinstance(results, list) else [results])]
 
 
-#: The JSON text goes to the output in writes of about this many characters.
+#: A piece of per-trial transcript text holds about this many characters.
 RENDER_BLOCK = 1 << 16
 
 
@@ -292,22 +287,13 @@ def _json_pieces(value, indent: str):
 def render(envelope: dict, fmt: str, out) -> None:
     """Write the exact text a command prints to `out`: JSON envelope or flattened CSV.
 
-    The JSON text is json.dumps(envelope, indent=2) plus a newline, built
-    piece by piece and written in blocks of about RENDER_BLOCK characters,
-    so it is never held whole.
+    The JSON text is json.dumps(envelope, indent=2) plus a newline, written
+    piece by piece as it is built, so it is never held whole.
     """
     if fmt == "json":
-        block: list[str] = []
-        size = 0
         for piece in _json_pieces(envelope, ""):
-            block.append(piece)
-            size += len(piece)
-            if size >= RENDER_BLOCK:
-                out.write("".join(block))
-                block.clear()
-                size = 0
-        block.append("\n")
-        out.write("".join(block))
+            out.write(piece)
+        out.write("\n")
         return
     import csv  # only --format csv needs these
     import io
@@ -336,12 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entangle-coord",
         description="Entanglement-coordinated action selection: protocol runs, "
                     "attacks, bounds, distillation search, reconciliation.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    # every parser has allow_abbrev=False: no prefix of an option stands for it
 
-    run = commands.add_parser("run", help="two-party or multi-agent protocol runs")
+    run = commands.add_parser("run", allow_abbrev=False,
+                              help="two-party or multi-agent protocol runs")
     run.add_argument("--bits", type=int, default=1, help="string length n")
     run.add_argument("--eps", type=float, default=0.0, help="per-bit flip probability")
     run.add_argument("--theta-a", type=float, default=0.0,
@@ -353,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run, seeded=True)
     run.set_defaults(handler=_cmd_run)
 
-    attack = commands.add_parser("attack", help="adversary scenarios")
+    attack = commands.add_parser("attack", allow_abbrev=False, help="adversary scenarios")
     attack.add_argument("kind", choices=("ghz", "w", "biseparable", "wolf"))
     attack.add_argument("--bits", type=int, default=1)
     attack.add_argument("--trials", type=int, default=1)
@@ -364,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(attack, seeded=True)
     attack.set_defaults(handler=_cmd_attack)
 
-    bound = commands.add_parser("bound", help="error-free length bound table")
+    bound = commands.add_parser("bound", allow_abbrev=False,
+                                help="error-free length bound table")
     group = bound.add_mutually_exclusive_group(required=True)
     group.add_argument("--eps", default=None,
                        help="comma-separated disagreement probabilities")
@@ -374,15 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     bound.set_defaults(handler=_cmd_bound)
 
     nicd = commands.add_parser(
-        "nicd", help="exact search for the best local distillation pair")
+        "nicd", allow_abbrev=False, help="exact search for the best local distillation pair")
     nicd.add_argument("--m", type=int, required=True, help="substring length (1..4)")
     nicd.add_argument("--eps", type=float, required=True,
                       help="per-bit disagreement probability")
     _add_common(nicd, seeded=False)
     nicd.set_defaults(handler=_cmd_nicd)
 
-    rec = commands.add_parser(
-        "reconcile", help="parity reconciliation over protocol-generated strings")
+    rec = commands.add_parser("reconcile", allow_abbrev=False,
+                              help="parity reconciliation over protocol-generated strings")
     rec.add_argument("--bits", type=int, default=64)
     rec.add_argument("--eps", type=float, default=0.01)
     rec.add_argument("--trials", type=int, default=1)

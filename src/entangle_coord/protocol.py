@@ -66,7 +66,6 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -190,9 +189,6 @@ class StateRegistry:
         self._sizes = [st.num_qubits for st in self._states]  # read by perfbench/tracing.py
         self._measured: set[tuple[int, int]] = set()
 
-    def __len__(self) -> int:
-        return len(self._states)
-
     def state(self, index: int) -> PureState:
         return self._states[index]
 
@@ -212,7 +208,6 @@ class StateRegistry:
 # ------------------------------------------------------------------ utilities
 
 
-@lru_cache(maxsize=32)
 def _agent_names(k: int) -> tuple[str, ...]:
     return _CANONICAL_AGENTS[:k] + tuple(f"agent{i}" for i in range(2, k))
 
@@ -376,10 +371,6 @@ class BitRows(Sequence):
         if isinstance(other, tuple):
             return len(other) == len(self) and all(map(operator.eq, self, other))
         return NotImplemented
-
-    def __repr__(self) -> str:
-        trials, n_bits = self.bits.shape
-        return f"BitRows(trials={trials}, n_bits={n_bits})"
 
 
 def action_number_counts(bits: np.ndarray) -> list[tuple[int, int]]:

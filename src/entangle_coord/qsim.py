@@ -22,7 +22,6 @@ reproduces these operators' p1 bit for bit (see that module's docstring).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -100,9 +99,6 @@ class PureState:
         keep = num_qubits <= BRANCH_CACHE_QUBITS and collapses < BRANCH_CACHE_DEPTH
         self._branches = {} if keep else None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PureState(num_qubits={self.num_qubits})"
-
 
 class Outcome(NamedTuple):
     """One projective measurement: observed bit, its Born probability, collapsed state."""
@@ -136,7 +132,6 @@ def _weight(half: np.ndarray) -> float:
     return float(np.cumsum(half.real * half.real + half.imag * half.imag)[-1])
 
 
-@lru_cache(maxsize=None)
 def _cnot_source(num_qubits: int, control: int, target: int) -> np.ndarray:
     # source[i] = basis index whose amplitude lands at i after the CNOT
     cshift = num_qubits - 1 - control

@@ -206,6 +206,12 @@ def test_attack_args_validated():
 
 
 def test_attack_report_validates_fields():
+    for strings, n_bits, message in (((), 1, "trials must be at least 1"),
+                                     (("",), 0, "n_bits must be at least 1"),
+                                     (BitRows(np.zeros((1, 2), np.uint8)), 1,
+                                      "wolf_bits: bit strings must have length n_bits")):
+        with pytest.raises(ValueError, match=message):
+            _report_with(strings, n_bits)
     with pytest.raises(ValueError):
         AttackReport(
             kind=W_ATTACK,

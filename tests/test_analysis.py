@@ -280,6 +280,8 @@ def test_reconcile_validates_arguments():
             reconcile("0101", "0101", bad, 0)
     with pytest.raises(ValueError):
         reconcile("0101", "0101", 0.1, -3)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        analysis.reconcile_trials(8, 0.1, 0, 1)
 
 
 def test_reconcile_accepts_hints_whose_block_size_overflows():

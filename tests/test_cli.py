@@ -333,6 +333,7 @@ def test_run_bits_stop_where_action_numbers_stop_printing(capsys):
     (["bound", "--grid", "1e-320:0.5:3"], "eps 1e-320 too small: 1/H(eps) overflows a float"),
     (["bound", "--grid", "0.1:inf:1"], "--grid LO and HI must be finite"),
     (["bound", "--grid", "inf:inf:3"], "--grid LO and HI must be finite"),
+    (["bound", "--grid", "x:0.5:3"], "--grid expects LO:HI:STEPS numbers, got 'x:0.5:3'"),
 ])
 def test_bound_extreme_inputs_print_only_the_error(argv, message, capsys):
     # a numpy RuntimeWarning on the way would turn into exit code 1 here
@@ -387,7 +388,7 @@ def test_out_of_domain_numbers_exit_2_with_one_error_line(argv):
 
 @pytest.mark.parametrize("flags,message", [
     (["run", "--eps", "-1e+20"], "flip_prob must lie in [0, 0.5]"),
-    (["run", "--ep", "-1e+20"], "flip_prob must lie in [0, 0.5]"),
+    (["run", "--eps", "-5e-324"], "flip_prob must lie in [0, 0.5]"),
     (["reconcile", "--eps", "-1e-3"], "flip_prob must lie in [0, 0.5]"),
     (["run", "--theta-b", "-inf"], "misalignment angles must be finite"),
     (["nicd", "--m", "2", "--eps", "-1e-3"], "eps -0.001 outside [0, 0.5]"),
@@ -418,6 +419,9 @@ def test_negative_exponent_values_given_apart_get_the_domain_error(flags, messag
     ["bound"],
     ["nicd", "--m", "2"],
     ["run", "--format", "yaml"],
+    # no prefix of an option stands for it
+    ["run", "--bit", "3", "--tri", "2", "--se", "4", "--form", "csv"],
+    ["run", "--ep", "-1e+20"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     code, _, _ = invoke(argv, capsys)

@@ -81,6 +81,8 @@ def test_action_table_rejects_empty():
 
 
 def test_strike_of_range_checks():
+    with pytest.raises(ValueError, match="n_bits must be at least 1"):
+        StrikeSet(0)
     s = StrikeSet(2)
     with pytest.raises(ValueError):
         s.label(4)

@@ -110,6 +110,8 @@ def test_qubit_cap_enforced():
         prepare_ghz(qsim.QUBIT_CAP + 1)
     with pytest.raises(ValueError, match="^a register needs at least one qubit$"):
         basis_state(0, 0)
+    with pytest.raises(ValueError, match="needs at least 2 qubits"):
+        prepare_ghz(1)
     half = qsim.QUBIT_CAP // 2
     with pytest.raises(ValueError, match=f"^num_qubits={qsim.QUBIT_CAP + 1} exceeds QUBIT_CAP="):
         tensor_product(prepare_ghz(half), prepare_ghz(qsim.QUBIT_CAP + 1 - half))
@@ -415,6 +417,8 @@ def test_is_product_validates_cut():
         is_product(s, ([0, 1], [1, 2]))
     with pytest.raises(ValueError):
         is_product(s, ([0], [1]))
+    with pytest.raises(ValueError, match="cut must be a pair"):
+        is_product(s, 5)
 
 
 # ---------------------------------------------------------------- composition

@@ -57,6 +57,11 @@ def test_rejects_seeds_beyond_64_bits():
     with pytest.raises(TypeError):
         SplitMix64(2.5)
     SplitMix64(2**64 - 1).next_uint64()  # the largest seed is still a seed
+    with pytest.raises(ValueError, match="n must be positive"):
+        SplitMix64(1).randrange(0)
+    rng = SplitMix64(1)
+    assert rng.randrange(1) == 0  # and takes no draw
+    assert rng.next_uint64() == SplitMix64(1).next_uint64()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
