@@ -142,13 +142,12 @@ def _three_holder_attack(
     Returns the bits as a (3, trials, n_bits) uint8 array indexed by qubit.
     Trial t reads the stream of derive_seed(seed, t).
     """
-    if n_bits < 1:
-        raise ValueError("n_bits must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    chunks = trial_chunks(seed, trials, n_bits)  # checks n_bits and the seed
     levels = _outcome_tree(state, order)
     bits = np.empty((3, trials, n_bits), np.uint8)
-    for part, seeds in trial_chunks(seed, trials, n_bits):
+    for part, seeds in chunks:
         counters = np.zeros(len(seeds), np.uint64)  # each trial's next stream position
         out = bits[:, part]
         for slot in range(n_bits):

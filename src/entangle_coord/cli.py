@@ -11,10 +11,10 @@ fixed key order.  Exit codes: 0 success, 2 argument error, 1 internal
 invariant violation.
 
 The master seed comes from --seed, else from the ENTANGLE_COORD_SEED
-environment variable, else 0, written as str() writes the integer.  Per-trial
-seeds are derived with the package's published mixing function, so trial
-results do not depend on evaluation order.  The commands parse, delegate to
-the package and print; no engine decision lives here.
+environment variable, else 0; it and every integer option are written as
+str() writes the integer.  Per-trial seeds are derived with the package's
+published mixing function, so trial results do not depend on evaluation
+order.  The commands parse, delegate and print; no engine decision lives here.
 """
 
 from __future__ import annotations
@@ -59,23 +59,27 @@ def validate_envelope(envelope: dict) -> None:
             raise jsonschema.ValidationError(f"results: {exc}") from None
 
 
-def _plain_int(text: str) -> int | None:
-    # text's integer if str() spells it as text, so that no two spellings
-    # alias one number ("1_000", " 7", "007", "\u0663"), else None
+def _plain_int(text: str, source: str) -> int:
+    # text's integer if str() spells it as text, so that no two spellings alias
+    # one number ("1_000", " 7", "007", "+7", "\u0663"); else a ValueError naming source
     try:
-        value = int(text)
+        if str(value := int(text)) == text:
+            return value
     except ValueError:
-        return None
-    return value if str(value) == text else None
+        pass
+    raise ValueError(f"{source} must be an integer in plain decimal, got {text!r}")
+
+
+def _int_options(args: argparse.Namespace, *names: str) -> list[int]:
+    # the values of the named integer options, each read by _plain_int
+    return [_plain_int(getattr(args, name), "--" + name) for name in names]
 
 
 def _resolve_seed(flag_value: str | None) -> int:
     # --seed's text, else ENTANGLE_COORD_SEED, else 0
     source, text = ("--seed", flag_value) if flag_value is not None else (
         "ENTANGLE_COORD_SEED", os.environ.get("ENTANGLE_COORD_SEED", "0"))
-    if (seed := _plain_int(text)) is None:
-        raise ValueError(f"{source} must be an integer in plain decimal, got {text!r}")
-    return check_seed(seed, "master seed")
+    return check_seed(_plain_int(text, source), "master seed")
 
 
 def _envelope(command: str, parameters: dict, seed: int, results) -> dict:
@@ -92,30 +96,28 @@ def _envelope(command: str, parameters: dict, seed: int, results) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> dict:
+    bits, trials, agents = _int_options(args, "bits", "trials", "agents")
     seed = _resolve_seed(args.seed)
     noise = NoiseModel(
         flip_prob=args.eps,
         misalign_alice=args.theta_a,
         misalign_bob=args.theta_b,
     )
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     # Action numbers print in decimal, and CPython refuses int-to-str
     # conversions beyond sys.get_int_max_str_digits() digits (0: no limit).
     # Up to 3 bits per digit always fit, so a raised limit costs no 10**digits.
     digits = getattr(sys, "get_int_max_str_digits", int)()
-    if digits and args.bits > 3 * digits and args.bits > (
-            most := (10**digits).bit_length() - 1):
-        raise ValueError(f"--bits {args.bits} exceeds {most}: its action numbers would "
+    if digits and bits > 3 * digits and bits > (most := (10**digits).bit_length() - 1):
+        raise ValueError(f"--bits {bits} exceeds {most}: its action numbers would "
                          f"pass Python's limit of {digits} digits for printing an integer")
-    results = RunSummary.of_trials(args.agents, args.bits, noise, args.trials, seed).to_dict()
+    results = RunSummary.of_trials(agents, bits, noise, trials, seed).to_dict()
     parameters = {
-        "bits": args.bits,
+        "bits": bits,
         "eps": args.eps,
         "theta_a": args.theta_a,
         "theta_b": args.theta_b,
-        "trials": args.trials,
-        "agents": args.agents,
+        "trials": trials,
+        "agents": agents,
         "seed": seed,
         "format": args.format,
     }
@@ -125,6 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> dict:
 def _cmd_attack(args: argparse.Namespace) -> dict:
     from .adversary import biseparable_attack, eve_ghz_attack, eve_w_attack, wolf_cnot_attack
 
+    bits, trials = _int_options(args, "bits", "trials")
     seed = _resolve_seed(args.seed)
     if args.eve_first and args.kind != "ghz":
         raise ValueError("--eve-first applies to the ghz attack only")
@@ -132,22 +135,22 @@ def _cmd_attack(args: argparse.Namespace) -> dict:
         raise ValueError("--target-bit applies to the wolf attack only")
     parameters = {
         "kind": args.kind,
-        "bits": args.bits,
-        "trials": args.trials,
+        "bits": bits,
+        "trials": trials,
         "seed": seed,
         "format": args.format,
     }
     if args.kind == "ghz":
         parameters["eve_first"] = args.eve_first
-        report = eve_ghz_attack(args.bits, args.trials, args.eve_first, seed)
+        report = eve_ghz_attack(bits, trials, args.eve_first, seed)
     elif args.kind == "w":
-        report = eve_w_attack(args.bits, args.trials, seed)
+        report = eve_w_attack(bits, trials, seed)
     elif args.kind == "biseparable":
-        report = biseparable_attack(args.bits, args.trials, seed)
+        report = biseparable_attack(bits, trials, seed)
     else:
-        target = 0 if args.target_bit is None else args.target_bit
+        target = 0 if args.target_bit is None else _plain_int(args.target_bit, "--target-bit")
         parameters["target_bit"] = target
-        report = wolf_cnot_attack(args.bits, args.trials, target, seed)
+        report = wolf_cnot_attack(bits, trials, target, seed)
     return _envelope("attack", parameters, seed, report.to_dict())
 
 
@@ -168,9 +171,7 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi = float(pieces[0]), float(pieces[1])
     except ValueError:
         raise ValueError(f"--grid expects LO:HI:STEPS numbers, got {text!r}") from None
-    if (steps := _plain_int(pieces[2])) is None:
-        raise ValueError(f"--grid STEPS must be an integer in plain decimal, got {text!r}")
-    if steps < 1:
+    if (steps := _plain_int(pieces[2], "--grid STEPS")) < 1:
         raise ValueError("--grid STEPS must be at least 1")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("--grid LO and HI must be finite")
@@ -195,22 +196,22 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
 def _cmd_nicd(args: argparse.Namespace) -> dict:
     from .analysis import nicd_max_correlation
 
-    result = nicd_max_correlation(args.m, args.eps)
-    parameters = {"m": args.m, "eps": args.eps, "format": args.format}
+    [m] = _int_options(args, "m")
+    result = nicd_max_correlation(m, args.eps)
+    parameters = {"m": m, "eps": args.eps, "format": args.format}
     return _envelope("nicd", parameters, 0, result.to_dict())
 
 
 def _cmd_reconcile(args: argparse.Namespace) -> dict:
     from .analysis import reconcile_trials
 
+    bits, trials = _int_options(args, "bits", "trials")
     seed = _resolve_seed(args.seed)
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    results = reconcile_trials(args.bits, args.eps, args.trials, seed)
+    results = reconcile_trials(bits, args.eps, trials, seed)
     parameters = {
-        "bits": args.bits,
+        "bits": bits,
         "eps": args.eps,
-        "trials": args.trials,
+        "trials": trials,
         "seed": seed,
         "format": args.format,
     }
@@ -331,24 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", allow_abbrev=False,
                               help="two-party or multi-agent protocol runs")
-    run.add_argument("--bits", type=int, default=1, help="string length n")
+    run.add_argument("--bits", default="1", help="string length n")
     run.add_argument("--eps", type=float, default=0.0, help="per-bit flip probability")
     run.add_argument("--theta-a", type=float, default=0.0,
                      help="alice basis misalignment (radians)")
     run.add_argument("--theta-b", type=float, default=0.0,
                      help="misalignment of every other agent (radians)")
-    run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--agents", type=int, default=2)
+    run.add_argument("--trials", default="1")
+    run.add_argument("--agents", default="2")
     _add_common(run, seeded=True)
     run.set_defaults(handler=_cmd_run)
 
     attack = commands.add_parser("attack", allow_abbrev=False, help="adversary scenarios")
     attack.add_argument("kind", choices=("ghz", "w", "biseparable", "wolf"))
-    attack.add_argument("--bits", type=int, default=1)
-    attack.add_argument("--trials", type=int, default=1)
+    attack.add_argument("--bits", default="1")
+    attack.add_argument("--trials", default="1")
     attack.add_argument("--eve-first", action="store_true",
                         help="eve measures before the honest parties (ghz only)")
-    attack.add_argument("--target-bit", type=int, default=None, metavar="{0,1}",
+    attack.add_argument("--target-bit", default=None, metavar="{0,1}",
                         help="ancilla preparation bit (wolf only, default 0)")
     _add_common(attack, seeded=True)
     attack.set_defaults(handler=_cmd_attack)
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     nicd = commands.add_parser(
         "nicd", allow_abbrev=False, help="exact search for the best local distillation pair")
-    nicd.add_argument("--m", type=int, required=True, help="substring length (1..4)")
+    nicd.add_argument("--m", required=True, help="substring length (1..4)")
     nicd.add_argument("--eps", type=float, required=True,
                       help="per-bit disagreement probability")
     _add_common(nicd, seeded=False)
@@ -373,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = commands.add_parser("reconcile", allow_abbrev=False,
                               help="parity reconciliation over protocol-generated strings")
-    rec.add_argument("--bits", type=int, default=64)
+    rec.add_argument("--bits", default="64")
     rec.add_argument("--eps", type=float, default=0.01)
-    rec.add_argument("--trials", type=int, default=1)
+    rec.add_argument("--trials", default="1")
     _add_common(rec, seeded=True)
     rec.set_defaults(handler=_cmd_reconcile)
 

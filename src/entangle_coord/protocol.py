@@ -34,7 +34,7 @@ order, and nothing else:
 Draw j of the run is mix(s + (j + 1) * GAMMA) (see seeding), and trial t of
 a batch has s = derive_seed(master, t), from `trial_chunks`.  Seeds, master
 or trial, pass seeding.check_seed: an integer in [0, 2**64), never reduced
-or truncated.
+or truncated.  A batch's shape passes `trial_chunks`: n_bits >= 1, trials >= 0.
 One engine follows this contract: it computes every draw from its (trial
 seed, position) pair, vectorised over trials and slots, one chunk of trials
 at a time.  `trial_batches` yields the chunks; `iter_runs`, `RunSummary`
@@ -267,11 +267,15 @@ def trial_chunks(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """(trials, their seeds) for each chunk of trials 0..trials-1 under `master_seed`.
 
-    The master seed is checked at the call.  Trial t's seed is
-    derive_seed(master_seed, t), as uint64.  Every draw is addressed by
-    (trial seed, stream position), so how the trials are split into chunks
-    never changes an output; the chunks only bound memory.
+    The shape (n_bits >= 1, trials >= 0) and the master seed are checked at
+    the call.  Trial t's seed is derive_seed(master_seed, t), as uint64.  Each
+    draw is addressed by (trial seed, stream position), so how the trials are
+    split into chunks never changes an output; the chunks only bound memory.
     """
+    if n_bits < 1:
+        raise ValueError("n_bits must be at least 1")
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     master_seed = check_seed(master_seed, "master seed")
     return ((part, stream_draws(master_seed, np.arange(part.start, part.stop, dtype=np.uint64)))
             for part in _chunks(trials, n_bits))
@@ -497,11 +501,9 @@ def _pick(out: np.ndarray, bit: np.ndarray, one: float, zero: float) -> None:
     np.copyto(out, one, where=bit)
 
 
-def _check_run(k_agents: int, n_bits: int) -> None:
+def _check_run(k_agents: int) -> None:
     if k_agents < 2:
         raise ValueError("need at least 2 agents")
-    if n_bits < 1:
-        raise ValueError("n_bits must be at least 1")
     qsim.check_num_qubits(k_agents)
 
 
@@ -514,9 +516,7 @@ def trial_batches(
     module docstring).  The arguments are checked at the call, and each batch
     is computed when it is reached, so a caller that drops it holds one chunk.
     """
-    _check_run(k_agents, n_bits)
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
+    _check_run(k_agents)
     chunks = trial_chunks(master_seed, trials, n_bits)
     return (TrialBatch(seeds, _run_chunk(seeds, k_agents, n_bits, noise)) for _, seeds in chunks)
 
@@ -546,9 +546,9 @@ class RunSummary:
         It is summed one batch at a time, so its memory does not grow with
         `trials`, and it equals the aggregates of all the trials at once.
         """
-        batches = trial_batches(k_agents, n_bits, noise, trials, master_seed)
         if trials < 1:
             raise ValueError("trials must be at least 1")
+        batches = trial_batches(k_agents, n_bits, noise, trials, master_seed)
         agree = 0
         disagree = np.zeros(n_bits, np.int64)
         # one count per action number when they are no more than a chunk's slots
@@ -595,8 +595,8 @@ class RunSummary:
 
 
 def _one_trial(k_agents: int, n_bits: int, noise: NoiseModel, seed: int) -> TrialBatch:
-    # The run with trial seed `seed`, as a batch of one lane.
-    _check_run(k_agents, n_bits)
+    # The run with trial seed `seed`, as a batch of one lane (StrikeSet checked n_bits).
+    _check_run(k_agents)
     seeds = np.array([check_seed(seed, "seed")], np.uint64)
     return TrialBatch(seeds, _run_chunk(seeds, k_agents, n_bits, noise))
 
@@ -611,6 +611,7 @@ def run_protocol(
 
     This is trial t of trial_batches(2, ...) when seed = derive_seed(master, t).
     """
+    strikes = _resolve_strikes(strikes, n_bits)
     return next(_one_trial(2, n_bits, noise, seed).records(strikes))
 
 
@@ -626,9 +627,9 @@ def run_multiagent(
     With k_agents = 2 this is the run run_protocol gives for the same seed,
     so the bit strings and agreement reduce to the two-party record.
     """
+    strikes = _resolve_strikes(strikes, n_bits)
     batch = _one_trial(k_agents, n_bits, noise, seed)
-    return _multi_record(batch.seeds.tolist()[0], tuple(bit_strings(batch.bits[:, 0])),
-                         _resolve_strikes(strikes, n_bits))
+    return _multi_record(batch.seeds.tolist()[0], tuple(bit_strings(batch.bits[:, 0])), strikes)
 
 
 def iter_runs(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_coord import cli, qsim
+from entangle_coord import adversary, cli, qsim
 from entangle_coord.adversary import (
     AttackReport,
     BISEPARABLE_ATTACK,
@@ -203,6 +203,20 @@ def test_attack_args_validated():
     ):
         with pytest.raises(ValueError):
             fn()
+
+
+def test_attacks_check_their_arguments_before_the_outcome_tree(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("the outcome tree was built before the arguments were checked")
+
+    monkeypatch.setattr(adversary, "_outcome_tree", no_tree)
+    for attack in (lambda n_bits, trials, seed: eve_ghz_attack(n_bits, trials, True, seed),
+                   eve_w_attack,
+                   biseparable_attack,
+                   lambda n_bits, trials, seed: wolf_cnot_attack(n_bits, trials, 1, seed)):
+        for n_bits, trials, seed in ((1, 1, -1), (1, 1, 2**64), (0, 1, 0), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                attack(n_bits, trials, seed)
 
 
 def test_attack_report_validates_fields():

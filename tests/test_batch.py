@@ -226,3 +226,25 @@ def test_run_batch_validates_arguments():
     with pytest.raises(TypeError):
         list(trial_batches(2, 1, quiet, 1, 1.5))  # not truncated to master seed 1
     assert list(trial_batches(2, 1, quiet, 0, 0)) == []
+
+
+def test_trial_chunks_checks_the_shape_at_the_call():
+    # n_bits 0 once divided BATCH_SLOTS by zero
+    for trials, n_bits, message in ((2, 0, "n_bits must be at least 1"),
+                                    (2, -1, "n_bits must be at least 1"),
+                                    (-1, 1, "trials must be non-negative")):
+        with pytest.raises(ValueError, match=message):
+            protocol.trial_chunks(0, trials, n_bits)  # not iterated
+    assert list(protocol.trial_chunks(0, 0, 1)) == []
+
+
+def test_one_trial_views_check_n_bits_before_any_draw(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran before n_bits was checked")
+
+    monkeypatch.setattr(protocol, "_run_chunk", no_chunk)
+    for view in (lambda n_bits: protocol.run_protocol(n_bits, NoiseModel(), 0),
+                 lambda n_bits: protocol.run_multiagent(3, n_bits, NoiseModel(), 0)):
+        for n_bits in (0, -1):
+            with pytest.raises(ValueError, match="n_bits must be at least 1"):
+                view(n_bits)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entangle_coord import analysis, cli, protocol
+from entangle_coord import adversary, analysis, cli, protocol
 from entangle_coord.adversary import AttackReport, BitRows
 from entangle_coord.qsim import QUBIT_CAP
 
@@ -249,7 +249,7 @@ def test_largest_seed_is_accepted(capsys, monkeypatch):
     (["run", "--agents", "21"], "num_qubits=21 exceeds QUBIT_CAP=20"),
     (["run", "--eps", "0.6"], "flip_prob must lie in [0, 0.5]"),
     (["run", "--theta-b", "nan"], "misalignment angles must be finite"),
-    (["run", "--trials", "0"], "--trials must be at least 1"),
+    (["run", "--trials", "0"], "trials must be at least 1"),
     (["run", "--seed", "-1"], "master seed must be non-negative"),
     (["reconcile", "--bits", "0"], "n_bits must be at least 1"),
     (["reconcile", "--eps", "0.6"], "flip_prob must lie in [0, 0.5]"),
@@ -346,6 +346,31 @@ def test_bound_extreme_inputs_print_only_the_error(argv, message, capsys):
 _SEEDED = [["run"], ["reconcile"],
            *(["attack", kind] for kind in ("ghz", "w", "biseparable", "wolf"))]
 
+_QUIET = protocol.NoiseModel()
+# the library call behind each command of _SEEDED, with the command's defaults
+_LIBRARY_CALLS = {
+    "run": lambda bits=1, trials=1: protocol.RunSummary.of_trials(2, bits, _QUIET, trials, 0),
+    "reconcile": lambda bits=64, trials=1: analysis.reconcile_trials(bits, 0.01, trials, 0),
+    "ghz": lambda bits=1, trials=1: adversary.eve_ghz_attack(bits, trials, False, 0),
+    "w": lambda bits=1, trials=1: adversary.eve_w_attack(bits, trials, 0),
+    "biseparable": lambda bits=1, trials=1: adversary.biseparable_attack(bits, trials, 0),
+    "wolf": lambda bits=1, trials=1: adversary.wolf_cnot_attack(bits, trials, 0, 0),
+}
+
+
+@pytest.mark.parametrize("command", _SEEDED, ids=" ".join)
+@pytest.mark.parametrize("flag", ["--bits", "--trials"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_bad_batch_shapes_print_the_library_message(command, flag, value, capsys):
+    # the command line adds no check of its own: each command prints the
+    # ValueError of its library call, and every trial count below 1 reads alike
+    with pytest.raises(ValueError) as raised:
+        _LIBRARY_CALLS[command[-1]](**{flag[2:]: value})
+    message = str(raised.value)
+    assert message == {"--bits": "n_bits must be at least 1",
+                       "--trials": "trials must be at least 1"}[flag]
+    assert invoke([*command, flag, str(value)], capsys) == (2, "", f"error: {message}\n")
+
 
 def _eps_outside(zero_allowed):
     """NaN and floats outside [0, 0.5], or outside (0, 0.5] unless `zero_allowed`."""
@@ -396,7 +421,7 @@ def test_out_of_domain_numbers_exit_2_with_one_error_line(argv):
     (["bound", "--grid", "-1e-3:0.1:3"], "--grid requires 0 < LO <= HI"),
     (["reconcile", "--seed", "-1"], "master seed must be non-negative"),
     (["run", "--bits", "-1"], "n_bits must be at least 1"),
-    (["reconcile", "--trials", "-1"], "--trials must be at least 1"),
+    (["reconcile", "--trials", "-1"], "trials must be at least 1"),
     (["run", "--agents", "-1"], "need at least 2 agents"),
     (["nicd", "--eps", "0.1", "--m", "-1"], "substring length m must lie in 1..4"),
     (["run", "--theta-a", "-inf"], "misalignment angles must be finite"),
@@ -458,20 +483,33 @@ def test_help_and_version_with_a_dash_led_value_exit_2(flag, capsys):
 # space, a leading zero, a plus sign and ARABIC-INDIC DIGIT THREE
 _SPOILED = ["1_000", " 7", "007", "+7", "\u0663"]
 
+# the commands that read each integer option
+_INTEGER_OPTIONS = {
+    "--bits": _SEEDED,
+    "--trials": _SEEDED,
+    "--agents": [["run"]],
+    "--m": [["nicd", "--eps", "0.1"]],
+    "--target-bit": [["attack", "wolf"]],
+}
 
-@pytest.mark.parametrize("where", ["--seed", "ENTANGLE_COORD_SEED", "--grid"])
+
+@pytest.mark.parametrize("where", ["--seed", "ENTANGLE_COORD_SEED", "--grid", *_INTEGER_OPTIONS])
 @pytest.mark.parametrize("text", _SPOILED)
 def test_seeds_and_grid_steps_have_one_spelling(where, text, monkeypatch, capsys):
+    # and every other integer option
     if where == "--seed":
-        argv = ["reconcile", "--bits", "16", "--seed", text]
+        argvs = [["reconcile", "--bits", "16", "--seed", text]]
     elif where == "ENTANGLE_COORD_SEED":
         monkeypatch.setenv("ENTANGLE_COORD_SEED", text)
-        argv = ["run", "--bits", "2"]
+        argvs = [["run", "--bits", "2"]]
+    elif where == "--grid":
+        argvs = [["bound", "--grid", f"0.1:0.2:{text}"]]
     else:
-        argv = ["bound", "--grid", f"0.1:0.2:{text}"]
-    code, out, err = invoke(argv, capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {where}") and err.count("\n") == 1
+        argvs = [[*command, where, text] for command in _INTEGER_OPTIONS[where]]
+    for argv in argvs:
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
 # ------------------------------------------------------ schema + determinism
