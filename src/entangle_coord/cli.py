@@ -11,10 +11,10 @@ fixed key order.  Exit codes: 0 success, 2 argument error, 1 internal
 invariant violation.
 
 The master seed comes from --seed, else from the ENTANGLE_COORD_SEED
-environment variable, else 0; it and every integer option are written as
-str() writes the integer.  Per-trial seeds are derived with the package's
-published mixing function, so trial results do not depend on evaluation
-order.  The commands parse, delegate and print; no engine decision lives here.
+environment variable, else 0; it and every other number has one plain ASCII
+spelling (_SPELLINGS).  Per-trial seeds come from the package's published
+mixing function, so trial results do not depend on evaluation order.  The
+commands parse, delegate and print; no engine decision lives here.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -59,27 +60,38 @@ def validate_envelope(envelope: dict) -> None:
             raise jsonschema.ValidationError(f"results: {exc}") from None
 
 
-def _plain_int(text: str, source: str) -> int:
-    # text's integer if str() spells it as text, so that no two spellings alias
-    # one number ("1_000", " 7", "007", "+7", "\u0663"); else a ValueError naming source
-    try:
-        if str(value := int(text)) == text:
+#: each kind of number on the command line: its name in the error line, and its
+#: one spelling, in ASCII ("1_000", " 7", "+7", "\u0663" and "Infinity" are none)
+_SPELLINGS = {
+    int: ("an integer", "0|-?[1-9][0-9]*"),
+    float: ("a number", r"-?(0|[1-9][0-9]*)(\.[0-9]+)?(e[-+]?[0-9]+)?|-?inf|nan"),
+}
+
+
+def _plain(kind: type, text: str, source: str):
+    # text as a kind (int or float) if it has that kind's spelling and is not
+    # a zero written with "-" (a second envelope for one run) or a nonzero
+    # literal that rounds to 0 (1e-400); else a ValueError naming source
+    name, spelling = _SPELLINGS[kind]
+    if re.fullmatch(spelling, text):
+        most = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if kind is int and 0 < most < len(text.lstrip("-")):  # int() would refuse it
+            raise ValueError(f"{source} has more digits than Python reads as an integer ({most})")
+        if (value := kind(text)) or re.fullmatch("[0.]+(e.*)?", text):
             return value
-    except ValueError:
-        pass
-    raise ValueError(f"{source} must be an integer in plain decimal, got {text!r}")
+    raise ValueError(f"{source} must be {name} in plain decimal, got {text!r}")
 
 
-def _int_options(args: argparse.Namespace, *names: str) -> list[int]:
-    # the values of the named integer options, each read by _plain_int
-    return [_plain_int(getattr(args, name), "--" + name) for name in names]
+def _options(args: argparse.Namespace, kind: type, *names: str) -> list:
+    # the values of the named options of one kind, each read by _plain
+    return [_plain(kind, getattr(args, name), "--" + name.replace("_", "-")) for name in names]
 
 
 def _resolve_seed(flag_value: str | None) -> int:
     # --seed's text, else ENTANGLE_COORD_SEED, else 0
     source, text = ("--seed", flag_value) if flag_value is not None else (
         "ENTANGLE_COORD_SEED", os.environ.get("ENTANGLE_COORD_SEED", "0"))
-    return check_seed(_plain_int(text, source), "master seed")
+    return check_seed(_plain(int, text, source), "master seed")
 
 
 def _envelope(command: str, parameters: dict, seed: int, results) -> dict:
@@ -96,13 +108,10 @@ def _envelope(command: str, parameters: dict, seed: int, results) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> dict:
-    bits, trials, agents = _int_options(args, "bits", "trials", "agents")
+    bits, trials, agents = _options(args, int, "bits", "trials", "agents")
+    eps, theta_a, theta_b = _options(args, float, "eps", "theta_a", "theta_b")
     seed = _resolve_seed(args.seed)
-    noise = NoiseModel(
-        flip_prob=args.eps,
-        misalign_alice=args.theta_a,
-        misalign_bob=args.theta_b,
-    )
+    noise = NoiseModel(flip_prob=eps, misalign_alice=theta_a, misalign_bob=theta_b)
     # Action numbers print in decimal, and CPython refuses int-to-str
     # conversions beyond sys.get_int_max_str_digits() digits (0: no limit).
     # Up to 3 bits per digit always fit, so a raised limit costs no 10**digits.
@@ -113,9 +122,9 @@ def _cmd_run(args: argparse.Namespace) -> dict:
     results = RunSummary.of_trials(agents, bits, noise, trials, seed).to_dict()
     parameters = {
         "bits": bits,
-        "eps": args.eps,
-        "theta_a": args.theta_a,
-        "theta_b": args.theta_b,
+        "eps": eps,
+        "theta_a": theta_a,
+        "theta_b": theta_b,
         "trials": trials,
         "agents": agents,
         "seed": seed,
@@ -127,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> dict:
 def _cmd_attack(args: argparse.Namespace) -> dict:
     from .adversary import biseparable_attack, eve_ghz_attack, eve_w_attack, wolf_cnot_attack
 
-    bits, trials = _int_options(args, "bits", "trials")
+    bits, trials = _options(args, int, "bits", "trials")
     seed = _resolve_seed(args.seed)
     if args.eve_first and args.kind != "ghz":
         raise ValueError("--eve-first applies to the ghz attack only")
@@ -148,17 +157,10 @@ def _cmd_attack(args: argparse.Namespace) -> dict:
     elif args.kind == "biseparable":
         report = biseparable_attack(bits, trials, seed)
     else:
-        target = 0 if args.target_bit is None else _plain_int(args.target_bit, "--target-bit")
+        target = 0 if args.target_bit is None else _plain(int, args.target_bit, "--target-bit")
         parameters["target_bit"] = target
         report = wolf_cnot_attack(bits, trials, target, seed)
     return _envelope("attack", parameters, seed, report.to_dict())
-
-
-def _parse_eps_list(text: str) -> list[float]:
-    try:
-        return [float(piece) for piece in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--eps expects comma-separated numbers, got {text!r}") from None
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -167,11 +169,8 @@ def _parse_grid(text: str) -> list[float]:
     pieces = text.split(":")
     if len(pieces) != 3:
         raise ValueError(f"--grid expects LO:HI:STEPS, got {text!r}")
-    try:
-        lo, hi = float(pieces[0]), float(pieces[1])
-    except ValueError:
-        raise ValueError(f"--grid expects LO:HI:STEPS numbers, got {text!r}") from None
-    if (steps := _plain_int(pieces[2], "--grid STEPS")) < 1:
+    lo, hi = _plain(float, pieces[0], "--grid LO"), _plain(float, pieces[1], "--grid HI")
+    if (steps := _plain(int, pieces[2], "--grid STEPS")) < 1:
         raise ValueError("--grid STEPS must be at least 1")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("--grid LO and HI must be finite")
@@ -184,7 +183,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
     from .analysis import bound_table
 
     if args.eps is not None:
-        eps_values = _parse_eps_list(args.eps)
+        eps_values = [_plain(float, piece, "--eps") for piece in args.eps.split(",")]
         parameters = {"eps": eps_values, "format": args.format}
     else:
         eps_values = _parse_grid(args.grid)
@@ -196,21 +195,22 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
 def _cmd_nicd(args: argparse.Namespace) -> dict:
     from .analysis import nicd_max_correlation
 
-    [m] = _int_options(args, "m")
-    result = nicd_max_correlation(m, args.eps)
-    parameters = {"m": m, "eps": args.eps, "format": args.format}
+    m, eps = _plain(int, args.m, "--m"), _plain(float, args.eps, "--eps")
+    result = nicd_max_correlation(m, eps)
+    parameters = {"m": m, "eps": eps, "format": args.format}
     return _envelope("nicd", parameters, 0, result.to_dict())
 
 
 def _cmd_reconcile(args: argparse.Namespace) -> dict:
     from .analysis import reconcile_trials
 
-    bits, trials = _int_options(args, "bits", "trials")
+    bits, trials = _options(args, int, "bits", "trials")
+    eps = _plain(float, args.eps, "--eps")
     seed = _resolve_seed(args.seed)
-    results = reconcile_trials(bits, args.eps, trials, seed)
+    results = reconcile_trials(bits, eps, trials, seed)
     parameters = {
         "bits": bits,
-        "eps": args.eps,
+        "eps": eps,
         "trials": trials,
         "seed": seed,
         "format": args.format,
@@ -333,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", allow_abbrev=False,
                               help="two-party or multi-agent protocol runs")
     run.add_argument("--bits", default="1", help="string length n")
-    run.add_argument("--eps", type=float, default=0.0, help="per-bit flip probability")
-    run.add_argument("--theta-a", type=float, default=0.0,
+    run.add_argument("--eps", default="0.0", help="per-bit flip probability")
+    run.add_argument("--theta-a", default="0.0",
                      help="alice basis misalignment (radians)")
-    run.add_argument("--theta-b", type=float, default=0.0,
+    run.add_argument("--theta-b", default="0.0",
                      help="misalignment of every other agent (radians)")
     run.add_argument("--trials", default="1")
     run.add_argument("--agents", default="2")
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     nicd = commands.add_parser(
         "nicd", allow_abbrev=False, help="exact search for the best local distillation pair")
     nicd.add_argument("--m", required=True, help="substring length (1..4)")
-    nicd.add_argument("--eps", type=float, required=True,
+    nicd.add_argument("--eps", required=True,
                       help="per-bit disagreement probability")
     _add_common(nicd, seeded=False)
     nicd.set_defaults(handler=_cmd_nicd)
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = commands.add_parser("reconcile", allow_abbrev=False,
                               help="parity reconciliation over protocol-generated strings")
     rec.add_argument("--bits", default="64")
-    rec.add_argument("--eps", type=float, default=0.01)
+    rec.add_argument("--eps", default="0.01")
     rec.add_argument("--trials", default="1")
     _add_common(rec, seeded=True)
     rec.set_defaults(handler=_cmd_reconcile)

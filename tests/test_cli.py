@@ -333,7 +333,7 @@ def test_run_bits_stop_where_action_numbers_stop_printing(capsys):
     (["bound", "--grid", "1e-320:0.5:3"], "eps 1e-320 too small: 1/H(eps) overflows a float"),
     (["bound", "--grid", "0.1:inf:1"], "--grid LO and HI must be finite"),
     (["bound", "--grid", "inf:inf:3"], "--grid LO and HI must be finite"),
-    (["bound", "--grid", "x:0.5:3"], "--grid expects LO:HI:STEPS numbers, got 'x:0.5:3'"),
+    (["bound", "--grid", "x:0.5:3"], "--grid LO must be a number in plain decimal, got 'x'"),
 ])
 def test_bound_extreme_inputs_print_only_the_error(argv, message, capsys):
     # a numpy RuntimeWarning on the way would turn into exit code 1 here
@@ -510,6 +510,47 @@ def test_seeds_and_grid_steps_have_one_spelling(where, text, monkeypatch, capsys
         code, out, err = invoke(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
+# spellings that float() reads but the command line refuses: an underscore, a
+# space, a plus sign, ARABIC-INDIC and FULLWIDTH digits, a nonzero literal that
+# rounds to 0, a zero written with "-", and float()'s names for inf and nan
+_SPOILED_REALS = ["0.0_5", " 0.05", "+0.05", "\u0660.\u0660\u0665", "\uff10.\uff10\uff15",
+                  "1e-400", "-0.0", "Infinity", "NaN"]
+
+# a command line for each real, with {} where the spoiled text goes; its option is argv[-2]
+_REAL_OPTIONS = [
+    ["run", "--eps", "{}"],
+    ["run", "--theta-a", "{}"],
+    ["run", "--theta-b", "{}"],
+    ["reconcile", "--eps", "{}"],
+    ["nicd", "--m", "2", "--eps", "{}"],
+    ["bound", "--eps", "0.1,{}"],
+    ["bound", "--grid", "{}:0.5:3"],
+    ["bound", "--grid", "0.01:{}:3"],
+]
+
+
+@pytest.mark.parametrize("argv", _REAL_OPTIONS, ids=" ".join)
+@pytest.mark.parametrize("text", _SPOILED_REALS)
+def test_every_real_has_one_spelling(argv, text, capsys):
+    code, out, err = invoke([*argv[:-1], argv[-1].format(text)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {argv[-2]} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--bits", "--seed"])
+def test_integers_past_python_digit_limit_get_one_short_line(flag, capsys):
+    # int() refuses a decimal of more than sys.get_int_max_str_digits() digits
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = invoke(["run", flag, "1" * 4301], capsys)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} has more digits than Python reads as an integer (4300)\n"
+    assert len(err.encode()) < 200
 
 
 # ------------------------------------------------------ schema + determinism
