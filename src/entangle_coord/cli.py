@@ -8,7 +8,7 @@ protocol.BitRows (the attack transcripts) are written straight from their
 bits by protocol.row_text.  Identical invocations produce byte-identical
 output — the envelope carries no timestamps and every map is built in a
 fixed key order.  Exit codes: 0 success, 2 argument error, 1 internal
-invariant violation.
+invariant violation or a standard output that closed early.
 
 The master seed comes from --seed, else from the ENTANGLE_COORD_SEED
 environment variable, else 0; it and every other number has one plain ASCII
@@ -82,11 +82,6 @@ def _plain(kind: type, text: str, source: str):
     raise ValueError(f"{source} must be {name} in plain decimal, got {text!r}")
 
 
-def _options(args: argparse.Namespace, kind: type, *names: str) -> list:
-    # the values of the named options of one kind, each read by _plain
-    return [_plain(kind, getattr(args, name), "--" + name.replace("_", "-")) for name in names]
-
-
 def _resolve_seed(flag_value: str | None) -> int:
     # --seed's text, else ENTANGLE_COORD_SEED, else 0
     source, text = ("--seed", flag_value) if flag_value is not None else (
@@ -94,11 +89,21 @@ def _resolve_seed(flag_value: str | None) -> int:
     return check_seed(_plain(int, text, source), "master seed")
 
 
-def _envelope(command: str, parameters: dict, seed: int, results) -> dict:
+def _read(args: argparse.Namespace, **kinds: type) -> dict:
+    # the envelope's parameters: each named option read by _plain as its kind, in
+    # the order given, then the master seed if the command takes --seed, and the format
+    parameters = {name: _plain(kind, getattr(args, name), "--" + name.replace("_", "-"))
+                  for name, kind in kinds.items()}
+    if "seed" in args:
+        parameters["seed"] = _resolve_seed(args.seed)
+    return {**parameters, "format": args.format}
+
+
+def _envelope(command: str, parameters: dict, results) -> dict:
     return {
         "command": command,
         "parameters": parameters,
-        "seed": seed,
+        "seed": parameters.get("seed", 0),
         "results": results,
         "version": __version__,
     }
@@ -108,9 +113,9 @@ def _envelope(command: str, parameters: dict, seed: int, results) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> dict:
-    bits, trials, agents = _options(args, int, "bits", "trials", "agents")
-    eps, theta_a, theta_b = _options(args, float, "eps", "theta_a", "theta_b")
-    seed = _resolve_seed(args.seed)
+    parameters = _read(args, bits=int, eps=float, theta_a=float, theta_b=float,
+                       trials=int, agents=int)
+    bits, eps, theta_a, theta_b, trials, agents, seed, _ = parameters.values()
     noise = NoiseModel(flip_prob=eps, misalign_alice=theta_a, misalign_bob=theta_b)
     # Action numbers print in decimal, and CPython refuses int-to-str
     # conversions beyond sys.get_int_max_str_digits() digits (0: no limit).
@@ -120,35 +125,18 @@ def _cmd_run(args: argparse.Namespace) -> dict:
         raise ValueError(f"--bits {bits} exceeds {most}: its action numbers would "
                          f"pass Python's limit of {digits} digits for printing an integer")
     results = RunSummary.of_trials(agents, bits, noise, trials, seed).to_dict()
-    parameters = {
-        "bits": bits,
-        "eps": eps,
-        "theta_a": theta_a,
-        "theta_b": theta_b,
-        "trials": trials,
-        "agents": agents,
-        "seed": seed,
-        "format": args.format,
-    }
-    return _envelope("run", parameters, seed, results)
+    return _envelope("run", parameters, results)
 
 
 def _cmd_attack(args: argparse.Namespace) -> dict:
     from .adversary import biseparable_attack, eve_ghz_attack, eve_w_attack, wolf_cnot_attack
 
-    bits, trials = _options(args, int, "bits", "trials")
-    seed = _resolve_seed(args.seed)
+    parameters = {"kind": args.kind, **_read(args, bits=int, trials=int)}
+    _, bits, trials, seed, _ = parameters.values()
     if args.eve_first and args.kind != "ghz":
         raise ValueError("--eve-first applies to the ghz attack only")
     if args.target_bit is not None and args.kind != "wolf":
         raise ValueError("--target-bit applies to the wolf attack only")
-    parameters = {
-        "kind": args.kind,
-        "bits": bits,
-        "trials": trials,
-        "seed": seed,
-        "format": args.format,
-    }
     if args.kind == "ghz":
         parameters["eve_first"] = args.eve_first
         report = eve_ghz_attack(bits, trials, args.eve_first, seed)
@@ -160,10 +148,11 @@ def _cmd_attack(args: argparse.Namespace) -> dict:
         target = 0 if args.target_bit is None else _plain(int, args.target_bit, "--target-bit")
         parameters["target_bit"] = target
         report = wolf_cnot_attack(bits, trials, target, seed)
-    return _envelope("attack", parameters, seed, report.to_dict())
+    return _envelope("attack", parameters, report.to_dict())
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> dict:
+    # bound's parameters: the grid as read, repr(LO):repr(HI):STEPS, and its eps values
     import numpy as np
 
     pieces = text.split(":")
@@ -176,46 +165,35 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError("--grid LO and HI must be finite")
     if not 0.0 < lo <= hi:
         raise ValueError("--grid requires 0 < LO <= HI")
-    return [float(e) for e in np.geomspace(lo, hi, steps)]
+    return {"grid": f"{lo!r}:{hi!r}:{steps}", "eps": np.geomspace(lo, hi, steps).tolist()}
 
 
 def _cmd_bound(args: argparse.Namespace) -> dict:
     from .analysis import bound_table
 
     if args.eps is not None:
-        eps_values = [_plain(float, piece, "--eps") for piece in args.eps.split(",")]
-        parameters = {"eps": eps_values, "format": args.format}
+        parameters = {"eps": [_plain(float, piece, "--eps") for piece in args.eps.split(",")]}
     else:
-        eps_values = _parse_grid(args.grid)
-        parameters = {"grid": args.grid, "eps": eps_values, "format": args.format}
-    rows = bound_table(eps_values)
-    return _envelope("bound", parameters, 0, [row.to_dict() for row in rows])
+        parameters = _parse_grid(args.grid)
+    parameters.update(_read(args))
+    rows = bound_table(parameters["eps"])
+    return _envelope("bound", parameters, [row.to_dict() for row in rows])
 
 
 def _cmd_nicd(args: argparse.Namespace) -> dict:
     from .analysis import nicd_max_correlation
 
-    m, eps = _plain(int, args.m, "--m"), _plain(float, args.eps, "--eps")
-    result = nicd_max_correlation(m, eps)
-    parameters = {"m": m, "eps": eps, "format": args.format}
-    return _envelope("nicd", parameters, 0, result.to_dict())
+    parameters = _read(args, m=int, eps=float)
+    result = nicd_max_correlation(parameters["m"], parameters["eps"])
+    return _envelope("nicd", parameters, result.to_dict())
 
 
 def _cmd_reconcile(args: argparse.Namespace) -> dict:
     from .analysis import reconcile_trials
 
-    bits, trials = _options(args, int, "bits", "trials")
-    eps = _plain(float, args.eps, "--eps")
-    seed = _resolve_seed(args.seed)
-    results = reconcile_trials(bits, eps, trials, seed)
-    parameters = {
-        "bits": bits,
-        "eps": eps,
-        "trials": trials,
-        "seed": seed,
-        "format": args.format,
-    }
-    return _envelope("reconcile", parameters, seed, results)
+    parameters = _read(args, bits=int, eps=float, trials=int)
+    results = reconcile_trials(*(parameters[name] for name in ("bits", "eps", "trials", "seed")))
+    return _envelope("reconcile", parameters, results)
 
 
 # ------------------------------------------------------------- CSV flatten
@@ -406,14 +384,18 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        envelope = args.handler(args)
+        render(args.handler(args), args.format, sys.stdout)
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: say so once, and nothing at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the report was written", file=sys.stderr)
+        return 1
     except Exception as exc:  # anything else is an internal invariant failure
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
-    render(envelope, args.format, sys.stdout)
     return 0
 
 

@@ -157,6 +157,15 @@ def test_bound_grid_is_logarithmic(capsys):
         assert r == pytest.approx(ratios[0], rel=1e-9)
 
 
+@pytest.mark.parametrize("grid,spelled", [("0.1:0.2:3", "1e-1:0.20:3"),
+                                          ("0.0001:0.5:25", "1e-4:5e-1:25")])
+def test_one_grid_spelled_two_ways_prints_one_envelope(grid, spelled, capsys):
+    # the grid is echoed as read, repr(LO):repr(HI):STEPS, not as typed
+    code, out, err = invoke(["bound", "--grid", grid], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["parameters"]["grid"] == grid
+    assert invoke(["bound", "--grid", spelled], capsys) == (code, out, err)
+
+
 def test_bound_csv_columns(capsys):
     _, out, _ = invoke(["bound", "--eps", "0.01", "--format", "csv"], capsys)
     rows = list(csv.reader(io.StringIO(out)))
@@ -258,6 +267,10 @@ def test_largest_seed_is_accepted(capsys, monkeypatch):
                                  "Python's limit of 4300 digits for printing an integer"),
     (["run", "--bits", "-1"], "n_bits must be at least 1"),
     (["reconcile", "--bits", "-1"], "n_bits must be at least 1"),
+    # of two bad values, the first in the order the envelope echoes them is reported
+    (["run", "--trials", "x", "--eps", "y"], "--eps must be a number in plain decimal, got 'y'"),
+    (["reconcile", "--trials", "x", "--eps", "y"],
+     "--eps must be a number in plain decimal, got 'y'"),
 ])
 def test_invalid_protocol_inputs_keep_their_messages(argv, message, capsys):
     code, out, err = invoke(argv, capsys)
@@ -462,6 +475,18 @@ def test_unexpected_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "wires crossed" in err
+
+
+def test_a_stdout_closed_early_gets_one_error_line():
+    # the reader takes 10 bytes of a report of about 400 KB and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entangle_coord.cli", "attack", "w", "--bits", "64",
+         "--trials", "2000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == "error: standard output closed before the report was written\n"
 
 
 def test_help_and_version_exit_0(capsys):
