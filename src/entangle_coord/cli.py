@@ -89,12 +89,15 @@ def _resolve_seed(flag_value: str | None) -> int:
     return check_seed(_plain(int, text, source), "master seed")
 
 
-def _read(args: argparse.Namespace, **kinds: type) -> dict:
-    # the envelope's parameters: each named option read by _plain as its kind, in
-    # the order given, then the master seed if the command takes --seed, and the format
-    parameters = {name: _plain(kind, getattr(args, name), "--" + name.replace("_", "-"))
-                  for name, kind in kinds.items()}
-    if "seed" in args:
+def _read(args: argparse.Namespace) -> dict:
+    # the envelope's parameters: the command's options in _COMMANDS, each read by _plain
+    # as its kind, in order; then the master seed if the command takes --seed, and the format
+    _, _, seeded, options = _COMMANDS[args.command]
+    parameters = {}
+    for flag, kind, _, _ in options:
+        name = flag[2:].replace("-", "_")
+        parameters[name] = _plain(kind, getattr(args, name), flag)
+    if seeded:
         parameters["seed"] = _resolve_seed(args.seed)
     return {**parameters, "format": args.format}
 
@@ -113,8 +116,7 @@ def _envelope(command: str, parameters: dict, results) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> dict:
-    parameters = _read(args, bits=int, eps=float, theta_a=float, theta_b=float,
-                       trials=int, agents=int)
+    parameters = _read(args)
     bits, eps, theta_a, theta_b, trials, agents, seed, _ = parameters.values()
     noise = NoiseModel(flip_prob=eps, misalign_alice=theta_a, misalign_bob=theta_b)
     # Action numbers print in decimal, and CPython refuses int-to-str
@@ -131,7 +133,7 @@ def _cmd_run(args: argparse.Namespace) -> dict:
 def _cmd_attack(args: argparse.Namespace) -> dict:
     from .adversary import biseparable_attack, eve_ghz_attack, eve_w_attack, wolf_cnot_attack
 
-    parameters = {"kind": args.kind, **_read(args, bits=int, trials=int)}
+    parameters = {"kind": args.kind, **_read(args)}
     _, bits, trials, seed, _ = parameters.values()
     if args.eve_first and args.kind != "ghz":
         raise ValueError("--eve-first applies to the ghz attack only")
@@ -183,7 +185,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
 def _cmd_nicd(args: argparse.Namespace) -> dict:
     from .analysis import nicd_max_correlation
 
-    parameters = _read(args, m=int, eps=float)
+    parameters = _read(args)
     result = nicd_max_correlation(parameters["m"], parameters["eps"])
     return _envelope("nicd", parameters, result.to_dict())
 
@@ -191,7 +193,7 @@ def _cmd_nicd(args: argparse.Namespace) -> dict:
 def _cmd_reconcile(args: argparse.Namespace) -> dict:
     from .analysis import reconcile_trials
 
-    parameters = _read(args, bits=int, eps=float, trials=int)
+    parameters = _read(args)
     results = reconcile_trials(*(parameters[name] for name in ("bits", "eps", "trials", "seed")))
     return _envelope("reconcile", parameters, results)
 
@@ -288,12 +290,33 @@ def render(envelope: dict, fmt: str, out) -> None:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sub: argparse.ArgumentParser, seeded: bool) -> None:
-    if seeded:
-        sub.add_argument("--seed", default=None,
-                         help="master seed (default: ENTANGLE_COORD_SEED or 0)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json",
-                     help="output format (default json)")
+#: Each command: its handler, its help, whether it takes --seed, and its options in
+#: the order its envelope prints them, as (flag, kind, default text or None for a
+#: required option, help).  build_parser declares these and _read reads exactly them.
+#: By hand instead: attack's kind, --eve-first and --target-bit (each printed for one
+#: kind only) and bound's --eps | --grid (read as a list of eps values).
+_COMMANDS = {
+    "run": (_cmd_run, "two-party or multi-agent protocol runs", True, (
+        ("--bits", int, "1", "string length n"),
+        ("--eps", float, "0.0", "per-bit flip probability"),
+        ("--theta-a", float, "0.0", "alice basis misalignment (radians)"),
+        ("--theta-b", float, "0.0", "misalignment of every other agent (radians)"),
+        ("--trials", int, "1", None),
+        ("--agents", int, "2", None),
+    )),
+    "attack": (_cmd_attack, "adversary scenarios", True,
+               (("--bits", int, "1", None), ("--trials", int, "1", None))),
+    "bound": (_cmd_bound, "error-free length bound table", False, ()),
+    "nicd": (_cmd_nicd, "exact search for the best local distillation pair", False, (
+        ("--m", int, None, "substring length (1..4)"),
+        ("--eps", float, None, "per-bit disagreement probability"),
+    )),
+    "reconcile": (_cmd_reconcile, "parity reconciliation over protocol-generated strings", True, (
+        ("--bits", int, "64", None),
+        ("--eps", float, "0.01", None),
+        ("--trials", int, "1", None),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,57 +330,33 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
     # every parser has allow_abbrev=False: no prefix of an option stands for it
+    subs = {}
+    for command, (_, about, _, options) in _COMMANDS.items():
+        sub = subs[command] = commands.add_parser(command, allow_abbrev=False, help=about)
+        for flag, _, default, text in options:
+            sub.add_argument(flag, default=default, required=default is None, help=text)
 
-    run = commands.add_parser("run", allow_abbrev=False,
-                              help="two-party or multi-agent protocol runs")
-    run.add_argument("--bits", default="1", help="string length n")
-    run.add_argument("--eps", default="0.0", help="per-bit flip probability")
-    run.add_argument("--theta-a", default="0.0",
-                     help="alice basis misalignment (radians)")
-    run.add_argument("--theta-b", default="0.0",
-                     help="misalignment of every other agent (radians)")
-    run.add_argument("--trials", default="1")
-    run.add_argument("--agents", default="2")
-    _add_common(run, seeded=True)
-    run.set_defaults(handler=_cmd_run)
-
-    attack = commands.add_parser("attack", allow_abbrev=False, help="adversary scenarios")
+    # by hand, between the table's options and --seed/--format, where --help lists them
+    attack = subs["attack"]
     attack.add_argument("kind", choices=("ghz", "w", "biseparable", "wolf"))
-    attack.add_argument("--bits", default="1")
-    attack.add_argument("--trials", default="1")
     attack.add_argument("--eve-first", action="store_true",
                         help="eve measures before the honest parties (ghz only)")
     attack.add_argument("--target-bit", default=None, metavar="{0,1}",
                         help="ancilla preparation bit (wolf only, default 0)")
-    _add_common(attack, seeded=True)
-    attack.set_defaults(handler=_cmd_attack)
-
-    bound = commands.add_parser("bound", allow_abbrev=False,
-                                help="error-free length bound table")
-    group = bound.add_mutually_exclusive_group(required=True)
+    group = subs["bound"].add_mutually_exclusive_group(required=True)
     group.add_argument("--eps", default=None,
                        help="comma-separated disagreement probabilities")
     group.add_argument("--grid", default=None,
                        help="LO:HI:STEPS logarithmic grid of probabilities")
-    _add_common(bound, seeded=False)
-    bound.set_defaults(handler=_cmd_bound)
 
-    nicd = commands.add_parser(
-        "nicd", allow_abbrev=False, help="exact search for the best local distillation pair")
-    nicd.add_argument("--m", required=True, help="substring length (1..4)")
-    nicd.add_argument("--eps", required=True,
-                      help="per-bit disagreement probability")
-    _add_common(nicd, seeded=False)
-    nicd.set_defaults(handler=_cmd_nicd)
-
-    rec = commands.add_parser("reconcile", allow_abbrev=False,
-                              help="parity reconciliation over protocol-generated strings")
-    rec.add_argument("--bits", default="64")
-    rec.add_argument("--eps", default="0.01")
-    rec.add_argument("--trials", default="1")
-    _add_common(rec, seeded=True)
-    rec.set_defaults(handler=_cmd_reconcile)
-
+    for command, (handler, _, seeded, _) in _COMMANDS.items():
+        sub = subs[command]
+        if seeded:
+            sub.add_argument("--seed", default=None,
+                             help="master seed (default: ENTANGLE_COORD_SEED or 0)")
+        sub.add_argument("--format", choices=("json", "csv"), default="json",
+                         help="output format (default json)")
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -380,9 +379,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(_attach_negative_values(argv))
-    except SystemExit as exc:  # argparse already reported; fold into our codes
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse already reported; its codes 0 and 2 are ours
+        return exc.code
     try:
         render(args.handler(args), args.format, sys.stdout)
         sys.stdout.flush()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from entangle_coord import cli
+from entangle_coord import cli, protocol
 from test_acceptance import CLI_MATRIX
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -80,6 +80,18 @@ def test_output_is_byte_equal_to_golden(argv, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == golden_path(argv).read_bytes()
+
+
+def test_chunking_never_changes_an_output(monkeypatch, capsys):
+    # At 7 slots a chunk every string longer than 7 bits runs one trial a chunk,
+    # the large cases sum thousands of chunks, and every run histogram is merged
+    # from each chunk's counts (2**3 > 7): all still print the golden bytes.
+    monkeypatch.setattr(protocol, "BATCH_SLOTS", 7)
+    for argv in CASES:
+        assert cli.main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == "", argv
+        assert out.encode("utf-8") == golden_path(argv).read_bytes(), argv
 
 
 def _freeze() -> None:

@@ -409,6 +409,15 @@ def test_product_basis_state_is_product():
     assert abs(check.purity - 1.0) < 1e-12
 
 
+def test_complex_product_state_is_product():
+    # |+i> = (|0> + i|1>)/sqrt(2) gives qubit 0 a reduced density matrix with an
+    # imaginary part, which the purity Tr(rho^2) must count
+    plus_i = PureState(1, [INV_SQRT2, 1j * INV_SQRT2])
+    check = is_product(tensor_product(plus_i, basis_state(1, 0)), ((0,), (1,)))
+    assert check.separable
+    assert abs(check.purity - 1.0) < 1e-12
+
+
 def test_is_product_validates_cut():
     s = prepare_ghz(3)
     with pytest.raises(ValueError):
