@@ -41,13 +41,13 @@ importable from here: a bit string is built only when one is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qsim
-from .protocol import BitRows, trial_chunks
+from .protocol import BitRows, result_layout, trial_chunks
 from .seeding import uniforms
 
 GHZ_ATTACK = "GHZ"
@@ -101,19 +101,16 @@ class AttackReport:
             if n_bits != self.n_bits:
                 raise ValueError(f"{name}: bit strings must have length n_bits")
 
-    def to_dict(self) -> dict:
-        # the report's own BitRows: cli.render writes them as JSON arrays
-        # straight from the bits; json.dumps needs default=list for them
-        return {field.name: value for field in fields(self)
-                if (value := getattr(self, field.name)) is not None}
+    # BitRows go in as they are: cli.render writes them straight from the
+    # bits; json.dumps needs default=list for them
+    to_dict = result_layout
 
 
 class _Level(NamedTuple):
     """One measurement step of an outcome tree; node i is the path's bits so far."""
 
-    p0: np.ndarray  # (2**step,) float64: where born, the threshold u < p0 picks bit 0 by
+    p0: np.ndarray  # (2**step,) float64: bit = draw >= p0; 2.0 or -1.0 where not born
     born: np.ndarray  # (2**step,) bool: both branches possible, so a draw decides
-    forced: np.ndarray  # (2**step,) bool: the bit of a node that is not born
 
 
 def _outcome_tree(state: qsim.PureState, order: tuple[int, int, int]) -> list[_Level]:
@@ -123,9 +120,9 @@ def _outcome_tree(state: qsim.PureState, order: tuple[int, int, int]) -> list[_L
     states = [state]
     for qubit in order:
         pairs = [qsim.branches(node, qubit) if node else (None, None) for node in states]
-        possible = np.array([[out is not None for out in pair] for pair in pairs])
-        p0 = np.array([zero.probability if zero else 0.0 for zero, _ in pairs])
-        levels.append(_Level(p0, possible.all(axis=1), possible[:, 1]))
+        born = [bool(zero and one) for zero, one in pairs]
+        p0 = [zero.probability if zero and one else -1.0 if one else 2.0 for zero, one in pairs]
+        levels.append(_Level(np.array(p0), np.array(born)))
         states = [None if out is None else out.post_state for pair in pairs for out in pair]
     return levels
 
@@ -153,11 +150,11 @@ def _three_holder_attack(
         for slot in range(n_bits):
             node = np.zeros(len(seeds), np.intp)
             for level, qubit in zip(levels, order):
-                bit = level.forced[node]
+                draws = 0.0  # a level with no born node compares a constant
                 if level.born.any():
-                    born = level.born[node]
-                    bit = np.where(born, ~(uniforms(seeds, counters) < level.p0[node]), bit)
-                    counters += born
+                    draws = uniforms(seeds, counters)
+                    counters += level.born[node]
+                bit = draws >= level.p0[node]
                 out[qubit, :, slot] = bit
                 node = 2 * node + bit
     return bits

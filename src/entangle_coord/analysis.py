@@ -24,11 +24,11 @@ correlation is 1 - 2*eps, attained by matching dictator functions.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import BitRows, NoiseModel, row_text, trial_batches
+from .protocol import BitRows, NoiseModel, result_layout, row_text, trial_batches
 from .seeding import derive_seed, shuffle
 
 #: reconciliation refuses to loop beyond this many passes
@@ -67,8 +67,7 @@ class BoundRow:
         if not self.max_error_free_length < self.raw_bound <= self.max_error_free_length + 1:
             raise ValueError("length floor inconsistent with raw bound")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = result_layout
 
 
 def shannon_length_bound(eps: float) -> BoundRow:
@@ -116,8 +115,7 @@ class NicdResult:
                 f"correlation {self.max_correlation!r} exceeds the 1 - 2*eps ceiling"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = result_layout
 
 
 def _noise_weights(m: int, eps: float) -> list[float]:
@@ -252,8 +250,7 @@ class ReconcileReport:
         if self.success != (self.errors_after == 0):
             raise ValueError("success flag inconsistent with residual errors")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = result_layout
 
 
 def check_eps_hint(eps_hint: float) -> None:

@@ -86,6 +86,23 @@ _CANONICAL_AGENTS = ("alice", "bob")
 # ---------------------------------------------------------------------- types
 
 
+def result_layout(result) -> dict:
+    """A result's JSON object: its fields in declaration order, None ones left out.
+
+    A tuple field becomes a list of its items, each as its own to_dict()
+    where it has one; any other value is handed over as is, not copied.
+    """
+    names = result._fields if isinstance(result, tuple) else [f.name for f in fields(result)]
+    layout = {}
+    for name in names:
+        value = getattr(result, name)
+        if isinstance(value, tuple):
+            value = [item.to_dict() if hasattr(item, "to_dict") else item for item in value]
+        if value is not None:
+            layout[name] = value
+    return layout
+
+
 @dataclass(frozen=True)
 class StrikeSet:
     """The 2**n_bits strike labels, indexed by action number.
@@ -147,10 +164,7 @@ class RunRecord(NamedTuple):
     agree: bool
     strike: str
 
-    def to_dict(self) -> dict:
-        # the fields in order, with the token tuples as JSON's lists
-        return {**self._asdict(), "alice_actions": list(self.alice_actions),
-                "bob_actions": list(self.bob_actions)}
+    to_dict = result_layout
 
 
 class MultiRunRecord(NamedTuple):
@@ -166,15 +180,9 @@ class MultiRunRecord(NamedTuple):
     strike: str
 
     def to_dict(self) -> dict:
-        # the fields in order; tuples become JSON's lists, and pairwise_agree
-        # a map keyed "i-j"
-        return {
-            **self._asdict(),
-            "agents": list(self.agents),
-            "bits": list(self.bits),
-            "action_numbers": list(self.action_numbers),
-            "pairwise_agree": {f"{i}-{j}": agree for i, j, agree in self.pairwise_agree},
-        }
+        # result_layout, with pairwise_agree as a map keyed "i-j"
+        return {**result_layout(self),
+                "pairwise_agree": {f"{i}-{j}": agree for i, j, agree in self.pairwise_agree}}
 
 
 class StateRegistry:
@@ -584,14 +592,7 @@ class RunSummary:
             None if records is None else tuple(records),
         )
 
-    def to_dict(self) -> dict:
-        # the fields in order, with each record as its own layout; no
-        # records key above 10 trials
-        layout = {field.name: getattr(self, field.name) for field in fields(self)}
-        records = layout.pop("records")
-        if records is not None:
-            layout["records"] = [rec.to_dict() for rec in records]
-        return layout
+    to_dict = result_layout
 
 
 def _one_trial(k_agents: int, n_bits: int, noise: NoiseModel, seed: int) -> TrialBatch:

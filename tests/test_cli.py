@@ -619,7 +619,9 @@ def test_json_outputs_validate_against_shipped_schema(argv, capsys):
     cli.validate_envelope(json.loads(out))
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# every finite angle the command line takes: "-0.0" is refused (see
+# _SPOILED_REALS), so -0.0 + 0.0 gives 0.0 instead
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
 
 _VALID_ARGV = st.one_of(
     st.builds(
@@ -778,6 +780,39 @@ def test_each_results_subschema_lists_its_result_type_fields_in_order():
     reconcile = json.loads(next(p for p in _GOLDEN_JSON if p.stem.startswith("reconcile"))
                            .read_text("utf-8"))
     assert _properties("reconcile", "properties", "results") == list(reconcile["results"])
+
+
+# one argv per results layout, with the library call whose layout it prints
+_LIBRARY_RESULTS = [
+    (["run", "--bits", "3", "--trials", "4", "--eps", "0.2", "--theta-b", "1.5", "--seed", "5"],
+     lambda: protocol.RunSummary.of_trials(
+         2, 3, protocol.NoiseModel(0.2, misalign_bob=1.5), 4, 5).to_dict()),
+    (["run", "--bits", "2", "--trials", "10", "--agents", "3", "--theta-a", "0.4", "--seed", "6"],
+     lambda: protocol.RunSummary.of_trials(
+         3, 2, protocol.NoiseModel(misalign_alice=0.4), 10, 6).to_dict()),
+    (["attack", "ghz", "--bits", "3", "--trials", "4", "--eve-first", "--seed", "7"],
+     lambda: adversary.eve_ghz_attack(3, 4, True, 7).to_dict()),
+    (["attack", "w", "--bits", "3", "--trials", "4", "--seed", "7"],
+     lambda: adversary.eve_w_attack(3, 4, 7).to_dict()),
+    (["attack", "biseparable", "--bits", "3", "--trials", "4", "--seed", "7"],
+     lambda: adversary.biseparable_attack(3, 4, 7).to_dict()),
+    (["attack", "wolf", "--bits", "3", "--trials", "4", "--target-bit", "1", "--seed", "7"],
+     lambda: adversary.wolf_cnot_attack(3, 4, 1, 7).to_dict()),
+    (["bound", "--grid", "0.001:0.5:6"],
+     lambda: [row.to_dict() for row in analysis.bound_table(np.geomspace(0.001, 0.5, 6))]),
+    (["nicd", "--m", "2", "--eps", "0.1"],
+     lambda: analysis.nicd_max_correlation(2, 0.1).to_dict()),
+    (["reconcile", "--bits", "64", "--eps", "0.05", "--trials", "3", "--seed", "9"],
+     lambda: analysis.reconcile_trials(64, 0.05, 3, 9)),
+]
+
+
+@pytest.mark.parametrize("argv,layout", _LIBRARY_RESULTS,
+                         ids=[" ".join(argv) for argv, _ in _LIBRARY_RESULTS])
+def test_every_command_prints_its_library_results_layout(argv, layout, capsys):
+    code, out, err = invoke(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"] == json.loads(json.dumps(layout(), default=list))
 
 
 def test_readme_command_line_examples_run(capsys):
