@@ -41,6 +41,7 @@ importable from here: a bit string is built only when one is asked for.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -279,7 +280,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def build_wolf_triple(target_bit: int) -> qsim.PureState:
     """Bell pair extended by Wolf's ancilla through a CNOT off Bob's qubit."""
-    if target_bit not in (0, 1):
+    if (target_bit := operator.index(target_bit)) not in (0, 1):  # a float is a TypeError
         raise ValueError("target_bit must be 0 or 1")
     pair = qsim.prepare_bell()
     triple = qsim.tensor_product(pair, qsim.basis_state(1, target_bit))
@@ -298,7 +299,7 @@ def wolf_cnot_attack(n_bits: int, trials: int, target_bit: int, seed: int) -> At
     slots = n_bits * trials
     matches = int(np.count_nonzero(wolf == alice))
     return _report(WOLF_CNOT_ATTACK, (wolf, alice, bob), {
-        "target_bit": target_bit,
+        "target_bit": operator.index(target_bit),  # 1, not True
         "ghz_fidelity": qsim.state_fidelity(triple, qsim.prepare_ghz(3)),
         "wolf_matches_alice_rate": matches / slots,
         "wolf_complements_alice_rate": (slots - matches) / slots,

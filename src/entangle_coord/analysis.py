@@ -28,16 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import BitRows, NoiseModel, result_layout, row_text, trial_batches
+from .protocol import BitRows, NoiseModel, _chunks, result_layout, row_text, trial_batches
 from .seeding import derive_seed, shuffle
 
 #: reconciliation refuses to loop beyond this many passes
 MAX_PASSES = 16
 
 _CASCADE_BLOCK_CONSTANT = 0.73
-
-#: balanced truth tables scored per block of the NICD search
-_NICD_BLOCK = 1024
 
 
 # ----------------------------------------------------------------- entropy
@@ -147,10 +144,10 @@ def _describe_dictator(position: int) -> str:
 
 def _balanced_tables(size: int) -> np.ndarray:
     # the truth tables on size inputs with size // 2 ones, ascending, found
-    # 4096 candidates at a time: a chunk's arrays are 16 KiB, not 256 KiB
+    # one _chunks block of candidates at a time: 32 KiB of arrays, not 256 KiB
     found = []
-    for start in range(0, 1 << size, 4096):
-        every = np.arange(start, min(start + 4096, 1 << size), dtype=np.uint32)
+    for part in _chunks(1 << size, 1):
+        every = np.arange(part.start, part.stop, dtype=np.uint32)
         ones = np.zeros(len(every), np.uint32)
         for a in range(size):
             ones += (every >> a) & 1
@@ -174,11 +171,11 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
     every f is scored against its best response g (the sign of each column
     of w), which no balanced g exceeds.  No sampling anywhere.
 
-    One loop for every m scores the balanced tables in blocks of
-    _NICD_BLOCK rows and keeps a running maximum.  A block's working set is
-    its sign rows and rows of w, 2 * _NICD_BLOCK * 2^m float64 (256 KiB at
-    m = 4), beside the 12 870 balanced tables as uint32; m <= 3 has at most
-    70 tables, one block.
+    One loop for every m scores the balanced tables in `protocol._chunks`
+    blocks of rows and keeps a running maximum.  A block's working set is
+    its sign rows and rows of w, at most BATCH_SLOTS float64 cells each
+    (64 KiB; 512 rows at m = 4), beside the 12 870 balanced tables as
+    uint32; m <= 3 has at most 70 tables, one block.
 
     The reported maximum is the exact value of the first matching dictator
     pair that ties the search maximum within 1e-12: math.fsum over every
@@ -200,8 +197,8 @@ def nicd_max_correlation(m: int, eps: float) -> NicdResult:
     tables = _balanced_tables(size)
     partners = _sign_rows(tables, size).T if m <= 3 else None
     best = -math.inf
-    for start in range(0, len(tables), _NICD_BLOCK):
-        w = _sign_rows(tables[start:start + _NICD_BLOCK], size) @ u
+    for part in _chunks(len(tables), size):
+        w = _sign_rows(tables[part], size) @ u
         scores = np.abs(w, out=w).sum(axis=1) if partners is None else w @ partners
         best = max(best, float(scores.max()))
     search_size = 1 << (2 * size) if m <= 3 else 1 << size

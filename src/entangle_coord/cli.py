@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 # adversary and analysis are imported inside the commands that call them, so a
 # launch loads (and, without bytecode caches, compiles) only what it runs
-from .protocol import BitRows, NoiseModel, RunSummary, row_text
+from .protocol import BitRows, NoiseModel, RunSummary, _chunks, row_text
 from .seeding import check_seed
 
 # ----------------------------------------------------------------- plumbing
@@ -226,10 +226,6 @@ def _csv_rows(command: str, results) -> list[list]:
             for row in (results if isinstance(results, list) else [results])]
 
 
-#: A piece of per-trial transcript text holds about this many characters.
-RENDER_BLOCK = 1 << 16
-
-
 def _json_pieces(value, indent: str):
     # The text of json.dumps(value, indent=2) piece by piece, for a value
     # that starts on a line indented by `indent`.
@@ -249,12 +245,11 @@ def _json_pieces(value, indent: str):
     separator = ",\n" + inner
     yield "[\n" + inner
     if isinstance(value, BitRows):  # per-trial transcripts: text straight from the bits
-        # about RENDER_BLOCK characters to a piece; bit strings need no escaping
+        # one piece per _chunks block of rows; bit strings need no escaping
         lead = (separator + '"').encode("ascii")
-        rows = max(1, RENDER_BLOCK // (len(lead) + value.bits.shape[1] + 1))
-        for start in range(0, len(value), rows):
-            text = row_text(value.bits[start : start + rows], lead, b'"')
-            yield text if start else text[len(separator) :]
+        for part in _chunks(*value.bits.shape):
+            text = row_text(value.bits[part], lead, b'"')
+            yield text if part.start else text[len(separator) :]
     elif set(map(type, value)) == {str}:  # e.g. a record's tokens: escaped in C
         yield separator.join(map(encode_basestring_ascii, value))
     else:

@@ -256,18 +256,19 @@ def _multi_record(seed: int, bits: tuple[str, ...], strikes: StrikeSet) -> Multi
 # ------------------------------------------------------------- batch engine
 
 
-#: The trial drivers process trials in chunks of at most this many slots
-#: (trials x n_bits, at least one trial); the batch kernel's working set per
-#: chunk is at most 9 x 8 bytes per slot (576 KiB), and only the k output
-#: bytes per slot come on top, for every k.
+#: Every blocked loop over rows takes blocks of at most this many items (at
+#: least one row) from `_chunks`: trial chunks, BitRows, rendered transcripts
+#: and the NICD search.  The batch kernel's working set per chunk is at most
+#: 9 x 8 bytes per slot (576 KiB), plus only the k output bytes per slot.
 BATCH_SLOTS = 1 << 13
 
 
-def _chunks(trials: int, n_bits: int) -> Iterator[slice]:
-    # Trials 0..trials-1 in chunks of at most BATCH_SLOTS slots each.
-    lanes = max(1, BATCH_SLOTS // n_bits)
-    for start in range(0, trials, lanes):
-        yield slice(start, min(trials, start + lanes))
+def _chunks(rows: int, width: int) -> Iterator[slice]:
+    # Rows 0..rows-1 of `width` items each, in blocks of at most BATCH_SLOTS
+    # items and at least one row.
+    step = max(1, BATCH_SLOTS // width)
+    for start in range(0, rows, step):
+        yield slice(start, min(rows, start + step))
 
 
 def trial_chunks(

@@ -190,6 +190,21 @@ def test_wolf_rejects_bad_target_bit():
         build_wolf_triple(-1)
 
 
+def test_wolf_reads_target_bit_as_an_integer():
+    # True once printed as true, off the schema, and built a triple of
+    # fidelity 1 with GHZ (numpy read it as a mask); 1.0 crashed in numpy
+    report, expected = wolf_cnot_attack(2, 3, True, 0), wolf_cnot_attack(2, 3, 1, 0)
+    assert report == expected
+    assert json.dumps(report.conditional_stats) == json.dumps(expected.conditional_stats)
+    assert report.conditional_stats["ghz_fidelity"] < 1e-12
+    assert wolf_cnot_attack(2, 3, np.int64(0), 0) == wolf_cnot_attack(2, 3, 0, 0)
+    for bad in (1.0, 0.0, np.float64(1), "1"):
+        with pytest.raises(TypeError):
+            wolf_cnot_attack(2, 3, bad, 0)
+        with pytest.raises(TypeError):
+            build_wolf_triple(bad)
+
+
 # ----------------------------------------------------------------- report
 
 

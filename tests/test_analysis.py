@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_coord import analysis, cli
+from entangle_coord import analysis, cli, protocol
 from entangle_coord.analysis import (
     MAX_PASSES,
     BoundRow,
@@ -139,8 +139,8 @@ def test_nicd_small_matches_the_loop_reference(m, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.1, 0.27, 0.5, 5e-324])
 def test_nicd_block_size_does_not_change_the_result(monkeypatch, m, eps):
     expected = loop_nicd_m4(eps) if m == 4 else loop_nicd_small(m, eps)
-    for block in (1, 7, 1 << 14):  # 1 << 14 exceeds every table count
-        monkeypatch.setattr(analysis, "_NICD_BLOCK", block)
+    for rows in (1, 7, 1 << 14):  # rows a block; 1 << 14 exceeds every table count
+        monkeypatch.setattr(protocol, "BATCH_SLOTS", rows << m)
         assert nicd_max_correlation(m, eps).to_dict() == expected
 
 

@@ -27,6 +27,7 @@ from entangle_coord.adversary import AttackReport, BitRows
 from entangle_coord.qsim import QUBIT_CAP
 
 import sequential_reference as ref
+from test_golden import CASES
 
 
 def invoke(argv, capsys):
@@ -578,6 +579,55 @@ def test_integers_past_python_digit_limit_get_one_short_line(flag, capsys):
     assert len(err.encode()) < 200
 
 
+# values refused before any trial runs, or small enough to run at once: a
+# large --trials or --bits could run for hours or allocate gigabytes
+_SMALL_OR_REFUSED = ["", "x", "-0", "1e-320", "nan", "-inf", "0", "1", "2", "3"]
+
+
+@st.composite
+def _spoiled_argv(draw):
+    # One to three edits of a golden command line: drop or duplicate a token,
+    # or swap it with its neighbour, and then replace values.  A swap across
+    # the line could hand --bits the value of --trials.
+    argv = list(draw(st.sampled_from(CASES)))
+    edits = draw(st.lists(st.sampled_from(["drop", "duplicate", "swap", "replace"]),
+                          min_size=1, max_size=3))
+    for edit in sorted(edits, key="replace".__eq__):
+        if len(argv) < 2:
+            break
+        i = draw(st.integers(0, len(argv) - 2 if edit == "swap" else len(argv) - 1))
+        if edit == "drop":
+            del argv[i]
+        elif edit == "duplicate":
+            argv.insert(i, argv[i])
+        elif edit == "swap":
+            argv[i : i + 2] = argv[i + 1], argv[i]
+        else:  # 2**64 only as a seed, which it is refused as
+            seed = [str(2**64)] if i and argv[i - 1] == "--seed" else []
+            argv[i] = draw(st.sampled_from(_SMALL_OR_REFUSED + seed))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_spoiled_argv())
+def test_every_spoiled_command_line_is_answered(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # a numpy RuntimeWarning on the way would turn into exit code 1 here
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    text = err.getvalue()
+    assert code in (0, 2), (argv, text)
+    if code == 0:
+        assert text == "", argv
+    else:
+        assert out.getvalue() == "", argv
+        one_line = text.startswith("error: ") and text.count("\n") == 1
+        usage = text.startswith("usage: ") and text.count(": error: ") == 1
+        assert one_line or usage, (argv, text)
+
+
 # ------------------------------------------------------ schema + determinism
 
 
@@ -990,7 +1040,7 @@ _ENVELOPE_SHAPED = st.dictionaries(_TEXT, st.recursive(
 def test_render_writes_exactly_what_json_dumps_gives(envelope, block):
     # short blocks put their boundaries inside small trees
     out = io.StringIO()
-    with mock.patch.object(cli, "RENDER_BLOCK", block):
+    with mock.patch.object(protocol, "BATCH_SLOTS", block):
         cli.render(envelope, "json", out)
     assert out.getvalue() == json.dumps(envelope, indent=2) + "\n"
 
@@ -1039,10 +1089,10 @@ def test_attack_transcripts_render_without_a_string_per_trial():
     assert peak < 16 * trials
 
 
-# (trials, n_bits): no trial, one slot, rows crossing RENDER_BLOCK boundaries,
-# one row longer than RENDER_BLOCK, and small shapes for small patched blocks
+# (trials, n_bits): no trial, one slot, rows crossing BATCH_SLOTS block
+# boundaries, one row longer than a block, and small shapes for small patched blocks
 _BIT_SHAPES = st.sampled_from(
-    [(0, 3), (1, 1), (cli.RENDER_BLOCK // 6 + 5, 5), (2, cli.RENDER_BLOCK + 3)]
+    [(0, 3), (1, 1), (protocol.BATCH_SLOTS // 3 + 5, 5), (2, protocol.BATCH_SLOTS + 3)]
 ) | st.tuples(st.integers(1, 40), st.integers(1, 70))
 
 
@@ -1073,11 +1123,11 @@ _BIT_TREES = st.dictionaries(_TEXT, st.recursive(
 
 
 @settings(max_examples=60, deadline=None)
-@given(trees=_BIT_TREES, block=st.just(cli.RENDER_BLOCK) | st.integers(1, 80))
+@given(trees=_BIT_TREES, block=st.just(protocol.BATCH_SLOTS) | st.integers(1, 80))
 def test_render_writes_bit_rows_as_json_dumps_writes_their_strings(trees, block):
     tree, plain = trees
     out = io.StringIO()
-    with mock.patch.object(cli, "RENDER_BLOCK", block):
+    with mock.patch.object(protocol, "BATCH_SLOTS", block):
         cli.render(tree, "json", out)
     text, expected = out.getvalue(), json.dumps(plain, indent=2) + "\n"
     # where the texts part, not a diff: pytest's diff of such texts takes minutes
